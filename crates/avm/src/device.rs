@@ -46,10 +46,6 @@ pub struct DeviceConfig {
     /// Whether the DyDroid instrumentation is present (an unmodified
     /// retail device would be `false`).
     pub instrumented: bool,
-    /// Run processes on the legacy string-resolving interpreter instead
-    /// of the pre-resolved fast path. Outcomes are identical; this knob
-    /// exists as the reference for differential testing and benchmarks.
-    pub legacy_interp: bool,
 }
 
 impl Default for DeviceConfig {
@@ -62,7 +58,6 @@ impl Default for DeviceConfig {
             wifi_on: true,
             location_enabled: true,
             instrumented: true,
-            legacy_interp: false,
         }
     }
 }
@@ -96,8 +91,6 @@ pub struct Device {
     api_level: u32,
     installed: HashMap<String, InstalledApp>,
     instructions_retired: u64,
-    legacy_interp: bool,
-    ic: crate::resolved::IcStats,
 }
 
 impl Device {
@@ -119,8 +112,6 @@ impl Device {
             api_level: config.api_level,
             installed: HashMap::new(),
             instructions_retired: 0,
-            legacy_interp: config.legacy_interp,
-            ic: crate::resolved::IcStats::default(),
         }
     }
 
@@ -141,25 +132,6 @@ impl Device {
     /// an entry point returns).
     pub(crate) fn charge_instructions(&mut self, used: u64) {
         self.instructions_retired += used;
-    }
-
-    /// Whether processes on this device run the legacy reference
-    /// interpreter instead of the pre-resolved fast path.
-    pub fn legacy_interp(&self) -> bool {
-        self.legacy_interp
-    }
-
-    /// Inline-cache hit/miss totals across every process run on this
-    /// device (all zero under the legacy interpreter, which has no
-    /// caches).
-    pub fn ic_stats(&self) -> crate::resolved::IcStats {
-        self.ic
-    }
-
-    /// Accumulates inline-cache counters (called by the process when a
-    /// top-level entry returns, like [`Device::charge_instructions`]).
-    pub(crate) fn charge_ic(&mut self, delta: &crate::resolved::IcStats) {
-        self.ic.add(delta);
     }
 
     /// Whether any network path is available: mobile data unless airplane

@@ -144,10 +144,8 @@ pub enum IntrinsicState {
 }
 
 /// A heap object: interned runtime class, fields, optional intrinsic
-/// state. Fields are a flat `(name, value)` table — objects have a
-/// handful of fields, and the interpreter's per-site inline caches
-/// remember the slot index, so a linear scan only happens on cache
-/// misses.
+/// state. Fields are a flat `(name, value)` table: objects have a
+/// handful of fields, so a linear scan beats hashing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Object {
     /// Interned dotted runtime class name.

@@ -10,16 +10,14 @@
 //! `v0 = this, v1.. = params`; for static methods `v0.. = params`. The
 //! frame size is the method's declared register count.
 //!
-//! # Two execution paths
+//! # One execution path
 //!
-//! The **fast path** (default) runs each method's pre-resolved
-//! [`crate::resolved::RInsn`] stream: interned operands, per-site inline
-//! caches for invoke/field/static resolution, pooled register files and
-//! an arena heap — no strings and no hash map on the hot loop. The
-//! **legacy path** (`DeviceConfig::legacy_interp`) is the original
-//! string-resolving interpreter, kept as the reference implementation;
-//! both decrement fuel identically per instruction and produce
-//! bit-identical outcomes, which `tests/avm_differential.rs` enforces.
+//! Each call resolves its target by name through the process's class
+//! spaces and runs the method's own instruction stream. Operands stay
+//! as the decoded strings; names are interned only where they enter the
+//! heap or the call stack, and register files are pooled per process.
+//! An app retires a few dozen instructions per process, so resolving by
+//! name costs less than any cache would save.
 
 use dydroid_dex::{AccessFlags, Instruction, InvokeKind, Method};
 
@@ -28,7 +26,6 @@ use crate::error::Exec;
 use crate::heap::{ObjId, Value};
 use crate::intrinsics;
 use crate::process::Process;
-use crate::resolved::{RInsn, ResolvedCall, ResolvedMethod, IC_EMPTY, IC_NO_RECEIVER};
 use crate::sym::Sym;
 
 /// Maximum instructions executed per entry point (infinite-loop guard —
@@ -49,20 +46,16 @@ pub struct Vm<'a> {
     /// frames. Strings are materialized only at error/event boundaries
     /// ([`Vm::caller_class`], [`Vm::stack_trace`]).
     pub call_stack: Vec<(Sym, Sym)>,
-    legacy: bool,
 }
 
 impl<'a> Vm<'a> {
-    /// Creates a VM with the default fuel budget. The execution path
-    /// (fast or legacy) follows the device's `legacy_interp` flag.
+    /// Creates a VM with the default fuel budget.
     pub fn new(device: &'a mut Device, proc: &'a mut Process) -> Self {
-        let legacy = device.legacy_interp();
         Vm {
             device,
             proc,
             fuel: DEFAULT_FUEL,
             call_stack: Vec::new(),
-            legacy,
         }
     }
 
@@ -160,24 +153,8 @@ impl<'a> Vm<'a> {
             };
             return intrinsics::dispatch(self, &mref, &args);
         }
-        if self.legacy {
-            return self.invoke_app_legacy(class, method, args);
-        }
-        let c = self.proc.interner.intern(class);
-        let m = self.proc.interner.intern(method);
-        self.invoke_app_fast(c, m, args, None)
-    }
-
-    /// The reference app-method dispatch: string-keyed virtual
-    /// resolution on every call, executing the original instruction
-    /// stream.
-    fn invoke_app_legacy(
-        &mut self,
-        class: &str,
-        method: &str,
-        args: Vec<Value>,
-    ) -> Result<Value, Exec> {
-        // Virtual dispatch: start at the receiver's runtime class.
+        // Virtual dispatch: start at the receiver's runtime class if it
+        // resolves the method, else at the static class.
         let start_class = args
             .first()
             .and_then(|v| v.as_obj())
@@ -206,113 +183,9 @@ impl<'a> Vm<'a> {
             self.proc.interner.intern(method),
         );
         self.call_stack.push(frame);
-        let result = self.execute_legacy(&m, args);
+        let result = self.execute(&m, args);
         self.call_stack.pop();
         result
-    }
-
-    /// The fast app-method dispatch: interned names, a positive
-    /// resolution cache, and (for bytecode invoke sites) a monomorphic
-    /// per-site inline cache keyed by the receiver's runtime class.
-    fn invoke_app_fast(
-        &mut self,
-        class: Sym,
-        method: Sym,
-        args: Vec<Value>,
-        site: Option<u32>,
-    ) -> Result<Value, Exec> {
-        if self.call_stack.len() >= MAX_DEPTH {
-            return Err(Exec::StackOverflow);
-        }
-        let receiver = args
-            .first()
-            .and_then(|v| v.as_obj())
-            .and_then(|id| self.proc.heap.get(id))
-            .map(|o| o.class);
-        let key = receiver.map(|s| s.0).unwrap_or(IC_NO_RECEIVER);
-        if let Some(site) = site {
-            let ic = &self.proc.ics.calls[site as usize];
-            if ic.key == key {
-                if let Some(target) = ic.target.clone() {
-                    let pushed = ic.pushed;
-                    self.proc.ics.stats.call_hits += 1;
-                    return self.run_call(pushed, method, target, args);
-                }
-            }
-            self.proc.ics.stats.call_misses += 1;
-        }
-        // Miss: resolve exactly like the legacy path — the receiver's
-        // runtime class if it resolves the method, else the static class.
-        let (start, cacheable) = match receiver {
-            Some(r) => {
-                if self.proc.resolve_call(r, method).is_some() {
-                    (r, true)
-                } else {
-                    // The receiver class exists but does not (yet)
-                    // resolve the method; a later DCL load could change
-                    // that, so this outcome must not be cached.
-                    (class, false)
-                }
-            }
-            None => (class, true),
-        };
-        let Some(target) = self.proc.resolve_call(start, method) else {
-            let start_s = self.proc.interner.resolve(start).to_string();
-            return Err(if self.proc.find_class(&start_s).is_none() {
-                Exec::Throw(format!("ClassNotFoundException: {start_s}"))
-            } else {
-                let method_s = self.proc.interner.resolve(method);
-                Exec::Throw(format!("NoSuchMethodError: {start_s}.{method_s}"))
-            });
-        };
-        if let Some(site) = site {
-            if cacheable {
-                let ic = &mut self.proc.ics.calls[site as usize];
-                ic.key = key;
-                ic.pushed = start;
-                ic.target = Some(target.clone());
-            }
-        }
-        self.run_call(start, method, target, args)
-    }
-
-    /// Executes a resolved target, maintaining the interned call stack.
-    fn run_call(
-        &mut self,
-        pushed_class: Sym,
-        method: Sym,
-        target: ResolvedCall,
-        args: Vec<Value>,
-    ) -> Result<Value, Exec> {
-        match target {
-            ResolvedCall::Bytecode(rm) => {
-                self.call_stack.push((pushed_class, method));
-                let result = self.execute_fast(&rm, args);
-                self.call_stack.pop();
-                result
-            }
-            ResolvedCall::Native { name, ret } => {
-                let lib_idx = self
-                    .proc
-                    .native_libs
-                    .iter()
-                    .rposition(|l| l.function(&name).map(|f| f.exported).unwrap_or(false));
-                match lib_idx {
-                    Some(idx) => {
-                        self.call_stack.push((pushed_class, method));
-                        let result = crate::nativerun::run_native(self, idx, &name);
-                        self.call_stack.pop();
-                        result?;
-                        Ok(ret)
-                    }
-                    None => {
-                        let c = self.proc.interner.resolve(pushed_class);
-                        let n = self.proc.interner.resolve(method);
-                        Err(Exec::Throw(format!("UnsatisfiedLinkError: {c}.{n}")))
-                    }
-                }
-            }
-        }
     }
 
     /// Dispatches a `native` app method through the loaded libraries:
@@ -362,15 +235,15 @@ impl<'a> Vm<'a> {
         regs
     }
 
-    fn execute_legacy(&mut self, method: &Method, args: Vec<Value>) -> Result<Value, Exec> {
+    fn execute(&mut self, method: &Method, args: Vec<Value>) -> Result<Value, Exec> {
         let mut regs = self.frame_regs(method.registers, args);
-        let result = self.run_legacy(method, &mut regs);
+        let result = self.run(method, &mut regs);
         regs.clear();
         self.proc.reg_pool.push(regs);
         result
     }
 
-    fn run_legacy(&mut self, method: &Method, regs: &mut [Value]) -> Result<Value, Exec> {
+    fn run(&mut self, method: &Method, regs: &mut [Value]) -> Result<Value, Exec> {
         let mut pc: usize = 0;
         let mut last_result = Value::Null;
         let code = &method.code;
@@ -518,264 +391,6 @@ impl<'a> Vm<'a> {
         }
     }
 
-    fn execute_fast(&mut self, rm: &ResolvedMethod, args: Vec<Value>) -> Result<Value, Exec> {
-        let mut regs = self.frame_regs(rm.registers, args);
-        let result = self.run_fast(rm, &mut regs);
-        regs.clear();
-        self.proc.reg_pool.push(regs);
-        result
-    }
-
-    fn run_fast(&mut self, rm: &ResolvedMethod, regs: &mut [Value]) -> Result<Value, Exec> {
-        let mut pc: usize = 0;
-        let mut last_result = Value::Null;
-        let code = &rm.code;
-        loop {
-            if self.fuel == 0 {
-                return Err(Exec::OutOfFuel);
-            }
-            self.fuel -= 1;
-            let Some(insn) = code.get(pc) else {
-                // Falling off the end is a void return.
-                return Ok(Value::Null);
-            };
-            match insn {
-                RInsn::Nop => pc += 1,
-                RInsn::Const { dst, value } => {
-                    regs[*dst as usize] = Value::Int(*value);
-                    pc += 1;
-                }
-                RInsn::ConstString { dst, value } => {
-                    regs[*dst as usize] = Value::Str(value.clone());
-                    pc += 1;
-                }
-                RInsn::ConstNull { dst } => {
-                    regs[*dst as usize] = Value::Null;
-                    pc += 1;
-                }
-                RInsn::Move { dst, src } => {
-                    regs[*dst as usize] = regs[*src as usize].clone();
-                    pc += 1;
-                }
-                RInsn::MoveResult { dst } => {
-                    regs[*dst as usize] = last_result.clone();
-                    pc += 1;
-                }
-                RInsn::NewInstance { dst, class } => {
-                    let id = self.proc.heap.alloc(*class);
-                    regs[*dst as usize] = Value::Obj(id);
-                    pc += 1;
-                }
-                RInsn::InvokeFramework {
-                    mref,
-                    args,
-                    has_receiver,
-                } => {
-                    let argv: Vec<Value> = args.iter().map(|r| regs[*r as usize].clone()).collect();
-                    if *has_receiver && matches!(argv.first(), Some(Value::Null) | None) {
-                        return Err(Exec::Throw(format!(
-                            "NullPointerException: invoking {}.{}",
-                            mref.class, mref.name
-                        )));
-                    }
-                    last_result = intrinsics::dispatch(self, mref, &argv)?;
-                    pc += 1;
-                }
-                RInsn::InvokeApp {
-                    class,
-                    name,
-                    args,
-                    has_receiver,
-                    site,
-                } => {
-                    let argv: Vec<Value> = args.iter().map(|r| regs[*r as usize].clone()).collect();
-                    if *has_receiver && matches!(argv.first(), Some(Value::Null) | None) {
-                        let c = self.proc.interner.resolve(*class);
-                        let n = self.proc.interner.resolve(*name);
-                        return Err(Exec::Throw(format!(
-                            "NullPointerException: invoking {c}.{n}"
-                        )));
-                    }
-                    last_result = self.invoke_app_fast(*class, *name, argv, Some(*site))?;
-                    pc += 1;
-                }
-                RInsn::IGet {
-                    dst,
-                    obj,
-                    field,
-                    site,
-                } => {
-                    let id = match regs[*obj as usize].as_obj() {
-                        Some(id) => id,
-                        None => return Err(npe("iget", self.proc.interner.resolve(*field))),
-                    };
-                    let cached = self.proc.ics.fields[*site as usize].slot;
-                    let object = match self.proc.heap.get(id) {
-                        Some(o) => o,
-                        None => return Err(npe("iget", self.proc.interner.resolve(*field))),
-                    };
-                    // (value, new slot to cache): slot == IC_EMPTY on a
-                    // miss with no existing field.
-                    let (value, found) = match object.fields.get(cached as usize) {
-                        Some((s, v)) if s == field => (v.clone(), None),
-                        _ => match object.fields.iter().position(|(s, _)| s == field) {
-                            Some(idx) => (object.fields[idx].1.clone(), Some(idx as u32)),
-                            None => (Value::Null, Some(IC_EMPTY)),
-                        },
-                    };
-                    match found {
-                        None => self.proc.ics.stats.field_hits += 1,
-                        Some(slot) => {
-                            self.proc.ics.stats.field_misses += 1;
-                            if slot != IC_EMPTY {
-                                self.proc.ics.fields[*site as usize].slot = slot;
-                            }
-                        }
-                    }
-                    regs[*dst as usize] = value;
-                    pc += 1;
-                }
-                RInsn::IPut {
-                    src,
-                    obj,
-                    field,
-                    site,
-                } => {
-                    let value = regs[*src as usize].clone();
-                    let id = match regs[*obj as usize].as_obj() {
-                        Some(id) => id,
-                        None => return Err(npe("iput", self.proc.interner.resolve(*field))),
-                    };
-                    let cached = self.proc.ics.fields[*site as usize].slot;
-                    let object = match self.proc.heap.get_mut(id) {
-                        Some(o) => o,
-                        None => return Err(npe("iput", self.proc.interner.resolve(*field))),
-                    };
-                    let found = match object.fields.get_mut(cached as usize) {
-                        Some((s, v)) if s == field => {
-                            *v = value;
-                            None
-                        }
-                        _ => match object.fields.iter().position(|(s, _)| s == field) {
-                            Some(idx) => {
-                                object.fields[idx].1 = value;
-                                Some(idx as u32)
-                            }
-                            None => {
-                                object.fields.push((*field, value));
-                                Some((object.fields.len() - 1) as u32)
-                            }
-                        },
-                    };
-                    match found {
-                        None => self.proc.ics.stats.field_hits += 1,
-                        Some(slot) => {
-                            self.proc.ics.stats.field_misses += 1;
-                            self.proc.ics.fields[*site as usize].slot = slot;
-                        }
-                    }
-                    pc += 1;
-                }
-                RInsn::SGet {
-                    dst,
-                    class,
-                    name,
-                    site,
-                } => {
-                    let cached = self.proc.ics.statics[*site as usize].slot;
-                    let value = if cached != IC_EMPTY {
-                        self.proc.ics.stats.field_hits += 1;
-                        self.proc.statics.slot(cached).clone()
-                    } else {
-                        self.proc.ics.stats.field_misses += 1;
-                        let idx = {
-                            let proc = &mut *self.proc;
-                            proc.statics.slot_index(
-                                proc.interner.resolve(*class),
-                                proc.interner.resolve(*name),
-                            )
-                        };
-                        match idx {
-                            Some(idx) => {
-                                self.proc.ics.statics[*site as usize].slot = idx;
-                                self.proc.statics.slot(idx).clone()
-                            }
-                            // Reading a never-written static is Null and
-                            // does not create the slot (same as legacy).
-                            None => Value::Null,
-                        }
-                    };
-                    regs[*dst as usize] = value;
-                    pc += 1;
-                }
-                RInsn::SPut {
-                    src,
-                    class,
-                    name,
-                    site,
-                } => {
-                    let value = regs[*src as usize].clone();
-                    let cached = self.proc.ics.statics[*site as usize].slot;
-                    if cached != IC_EMPTY {
-                        self.proc.ics.stats.field_hits += 1;
-                        *self.proc.statics.slot_mut(cached) = value;
-                    } else {
-                        self.proc.ics.stats.field_misses += 1;
-                        let idx = {
-                            let proc = &mut *self.proc;
-                            proc.statics.ensure_slot(
-                                proc.interner.resolve(*class),
-                                proc.interner.resolve(*name),
-                            )
-                        };
-                        self.proc.ics.statics[*site as usize].slot = idx;
-                        *self.proc.statics.slot_mut(idx) = value;
-                    }
-                    pc += 1;
-                }
-                RInsn::IfZero { cmp, reg, target } => {
-                    let v = int_for_cmp(&regs[*reg as usize]);
-                    if cmp.eval(v, 0) {
-                        pc = *target as usize;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                RInsn::IfCmp { cmp, a, b, target } => {
-                    let av = int_for_cmp(&regs[*a as usize]);
-                    let bv = int_for_cmp(&regs[*b as usize]);
-                    if cmp.eval(av, bv) {
-                        pc = *target as usize;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                RInsn::Goto { target } => pc = *target as usize,
-                RInsn::Arith { op, dst, a, b } => {
-                    let av = regs[*a as usize].as_int().ok_or_else(|| {
-                        Exec::Throw("ClassCastException: int op on reference".to_string())
-                    })?;
-                    let bv = regs[*b as usize].as_int().ok_or_else(|| {
-                        Exec::Throw("ClassCastException: int op on reference".to_string())
-                    })?;
-                    regs[*dst as usize] = Value::Int(arith(*op, av, bv)?);
-                    pc += 1;
-                }
-                RInsn::ReturnVoid => return Ok(Value::Null),
-                RInsn::Return { reg } => {
-                    return Ok(std::mem::replace(&mut regs[*reg as usize], Value::Null));
-                }
-                RInsn::Throw { reg } => {
-                    let msg = match std::mem::replace(&mut regs[*reg as usize], Value::Null) {
-                        Value::Str(s) => s,
-                        other => format!("{other:?}"),
-                    };
-                    return Err(Exec::Throw(msg));
-                }
-            }
-        }
-    }
-
     fn dispatch_invoke(
         &mut self,
         kind: InvokeKind,
@@ -862,33 +477,14 @@ mod tests {
     use dydroid_dex::builder::DexBuilder;
     use dydroid_dex::{CmpKind, DexFile, FieldRef, Manifest, MethodRef};
 
-    fn run_mode(
-        classes: DexFile,
-        class: &str,
-        method: &str,
-        legacy: bool,
-    ) -> (Result<Value, Exec>, Device, u64) {
-        let mut device = Device::new(DeviceConfig {
-            legacy_interp: legacy,
-            ..DeviceConfig::default()
-        });
+    /// Runs `class.method()` on a fresh device and process, returning
+    /// the outcome and the instructions it retired.
+    fn run(classes: DexFile, class: &str, method: &str) -> (Result<Value, Exec>, u64) {
+        let mut device = Device::new(DeviceConfig::default());
         let mut proc = Process::new("com.a".to_string(), classes, &Manifest::new("com.a"));
-        let (result, used) = {
-            let mut vm = Vm::new(&mut device, &mut proc);
-            let r = vm.call_entry(class, method);
-            (r, DEFAULT_FUEL - vm.fuel)
-        };
-        (result, device, used)
-    }
-
-    fn run(classes: DexFile, class: &str, method: &str) -> (Result<Value, Exec>, Device) {
-        // Every interpreter test runs through BOTH paths and insists
-        // on identical results and identical fuel accounting.
-        let (fast, device, fast_used) = run_mode(classes.clone(), class, method, false);
-        let (legacy, _, legacy_used) = run_mode(classes, class, method, true);
-        assert_eq!(fast, legacy, "fast and legacy paths diverged");
-        assert_eq!(fast_used, legacy_used, "fuel accounting diverged");
-        (fast, device)
+        let mut vm = Vm::new(&mut device, &mut proc);
+        let r = vm.call_entry(class, method);
+        (r, DEFAULT_FUEL - vm.fuel)
     }
 
     #[test]
@@ -900,8 +496,10 @@ mod tests {
         m.const_int(1, 7);
         m.binop(dydroid_dex::BinOp::Mul, 2, 0, 1);
         m.ret(2);
-        let (r, _) = run(b.build(), "com.a.M", "f");
+        let (r, used) = run(b.build(), "com.a.M", "f");
         assert_eq!(r.unwrap(), Value::Int(42));
+        // const, const, mul, return: one unit of fuel each.
+        assert_eq!(used, 4);
     }
 
     #[test]
@@ -1079,10 +677,9 @@ mod tests {
     }
 
     #[test]
-    fn call_site_cache_survives_megamorphic_receivers() {
-        // One call site sees Sub1 then Sub2 then Sub1 again: the
-        // monomorphic cache must re-resolve correctly each time the
-        // receiver class flips.
+    fn megamorphic_receivers_dispatch_to_own_override() {
+        // One call site sees Sub1 then Sub2 then Sub1 again and must
+        // resolve each receiver's own override.
         let mut b = DexBuilder::new();
         for (cls, v) in [("com.a.Sub1", 10), ("com.a.Sub2", 20)] {
             let c = b.class(cls, "com.a.Base");

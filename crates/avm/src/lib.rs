@@ -53,7 +53,6 @@ pub mod nativerun;
 pub mod net;
 pub mod paths;
 pub mod process;
-mod resolved;
 pub mod sym;
 
 pub use device::{Device, DeviceConfig, DeviceState};
@@ -65,5 +64,4 @@ pub use heap::{Heap, ObjId, Value};
 pub use hooks::{Instrumentation, InterceptedBinary};
 pub use net::Network;
 pub use process::{Process, Statics};
-pub use resolved::IcStats;
 pub use sym::{Interner, Sym};

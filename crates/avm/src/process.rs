@@ -4,84 +4,17 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use dydroid_dex::{AccessFlags, ClassDef, DexFile, Manifest, Method, NativeLibrary};
+use dydroid_dex::{ClassDef, DexFile, Manifest, Method, NativeLibrary};
 
 use crate::device::Device;
 use crate::error::Exec;
 use crate::events::Event;
 use crate::heap::{Heap, Value};
 use crate::interp::Vm;
-use crate::resolved::{self, IcTables, ResolvedCall};
-use crate::sym::{Interner, Sym};
+use crate::sym::Interner;
 
-/// Static fields, stored as a dense slot table. The public API is keyed
-/// by `(class, field)` name pairs — exactly the old `HashMap` surface —
-/// while the fast interpreter caches a site's slot index after the first
-/// resolution and then reads/writes by index. Slots are append-only, so
-/// a cached index stays valid for the life of the process.
-#[derive(Debug, Clone, Default)]
-pub struct Statics {
-    index: HashMap<(String, String), u32>,
-    slots: Vec<Value>,
-}
-
-impl Statics {
-    /// Reads a static field by `(class, field)` name.
-    pub fn get(&self, key: &(String, String)) -> Option<&Value> {
-        self.index.get(key).map(|&i| &self.slots[i as usize])
-    }
-
-    /// Writes a static field by `(class, field)` name, creating its slot
-    /// on first write.
-    pub fn insert(&mut self, key: (String, String), value: Value) {
-        match self.index.get(&key) {
-            Some(&i) => self.slots[i as usize] = value,
-            None => {
-                self.index.insert(key, self.slots.len() as u32);
-                self.slots.push(value);
-            }
-        }
-    }
-
-    /// Number of distinct static fields written so far.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether no static field has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The slot index of an existing static field, if any.
-    pub(crate) fn slot_index(&self, class: &str, name: &str) -> Option<u32> {
-        self.index
-            .get(&(class.to_string(), name.to_string()))
-            .copied()
-    }
-
-    /// The slot index of a static field, creating it (as `Null`) if
-    /// missing.
-    pub(crate) fn ensure_slot(&mut self, class: &str, name: &str) -> u32 {
-        if let Some(i) = self.slot_index(class, name) {
-            return i;
-        }
-        let i = self.slots.len() as u32;
-        self.index.insert((class.to_string(), name.to_string()), i);
-        self.slots.push(Value::Null);
-        i
-    }
-
-    /// Reads a slot by index.
-    pub(crate) fn slot(&self, idx: u32) -> &Value {
-        &self.slots[idx as usize]
-    }
-
-    /// Writes a slot by index.
-    pub(crate) fn slot_mut(&mut self, idx: u32) -> &mut Value {
-        &mut self.slots[idx as usize]
-    }
-}
+/// Static fields, keyed by `(class, field)` name.
+pub type Statics = HashMap<(String, String), Value>;
 
 /// A running application process.
 ///
@@ -109,18 +42,8 @@ pub struct Process {
     /// reads this as a deterministic virtual clock.
     pub instructions_retired: u64,
     /// Per-process string interner for class/method/field names. Heap
-    /// object classes and fields are stored as its [`Sym`]s.
+    /// object classes and fields are stored as its [`crate::Sym`]s.
     pub interner: Interner,
-    /// Positive `(start class, method) -> resolved call` cache; key packs
-    /// the two syms into one `u64`. Positive entries never go stale
-    /// (spaces are append-only and lookup is first-match).
-    pub(crate) code_cache: HashMap<u64, ResolvedCall>,
-    /// Negative resolutions with the space count they were observed at;
-    /// re-checked once a DCL load appends a space.
-    pub(crate) neg_cache: HashMap<u64, u32>,
-    /// Inline-cache tables for the resolved code's call/field/static
-    /// sites.
-    pub(crate) ics: IcTables,
     /// Recycled register files, so nested frames reuse one allocation.
     pub(crate) reg_pool: Vec<Vec<Value>>,
     /// Cached UI-callback enumeration, invalidated when a DCL load
@@ -144,9 +67,6 @@ impl Process {
             permissions: manifest.permissions.iter().cloned().collect(),
             instructions_retired: 0,
             interner: Interner::new(),
-            code_cache: HashMap::new(),
-            neg_cache: HashMap::new(),
-            ics: IcTables::default(),
             reg_pool: Vec::new(),
             ui_cache: None,
         }
@@ -178,58 +98,8 @@ impl Process {
         None
     }
 
-    /// Resolves `(start class, method)` to a cached [`ResolvedCall`],
-    /// translating the method on first use. Mirrors
-    /// [`Process::resolve_method`] exactly — same chain walk, same
-    /// outcome — but pays the string resolution once per unique target.
-    pub(crate) fn resolve_call(&mut self, class: Sym, method: Sym) -> Option<ResolvedCall> {
-        let key = (u64::from(class.0) << 32) | u64::from(method.0);
-        if let Some(rc) = self.code_cache.get(&key) {
-            return Some(rc.clone());
-        }
-        if let Some(&epoch) = self.neg_cache.get(&key) {
-            if epoch as usize == self.spaces.len() {
-                return None;
-            }
-        }
-        let class_s = self.interner.resolve(class).to_string();
-        let method_s = self.interner.resolve(method).to_string();
-        match self.resolve_method(&class_s, &method_s) {
-            Some((_def_class, m)) => {
-                let rc = if m.flags.contains(AccessFlags::NATIVE) {
-                    ResolvedCall::Native {
-                        name: m.name.as_str().into(),
-                        ret: crate::interp::default_return(&m),
-                    }
-                } else {
-                    ResolvedCall::Bytecode(Arc::new(resolved::translate(
-                        &mut self.interner,
-                        &mut self.ics,
-                        &m,
-                    )))
-                };
-                self.neg_cache.remove(&key);
-                self.code_cache.insert(key, rc.clone());
-                Some(rc)
-            }
-            None => {
-                self.neg_cache.insert(key, self.spaces.len() as u32);
-                None
-            }
-        }
-    }
-
-    /// Inline-cache hit/miss totals accumulated by this process's
-    /// interpreter runs (all zero on the legacy path, which has no
-    /// caches). The same deltas are charged to the owning device's
-    /// counters when an entry point returns.
-    pub fn ic_stats(&self) -> crate::resolved::IcStats {
-        self.ics.stats
-    }
-
     /// Executes one entry point with an explicit fuel budget, accounting
-    /// retired instructions into [`Process::instructions_retired`] and
-    /// charging inline-cache deltas to the device's telemetry counters.
+    /// retired instructions into [`Process::instructions_retired`].
     fn execute_entry(
         &mut self,
         device: &mut Device,
@@ -237,15 +107,11 @@ impl Process {
         method: &str,
         fuel: u64,
     ) -> Result<Value, Exec> {
-        let ic_mark = self.ics.stats;
-        let (outcome, used) = {
-            let mut vm = Vm::new(device, self);
-            vm.fuel = fuel;
-            let outcome = vm.call_entry(class, method);
-            (outcome, fuel - vm.fuel)
-        };
+        let mut vm = Vm::new(device, self);
+        vm.fuel = fuel;
+        let outcome = vm.call_entry(class, method);
+        let used = fuel - vm.fuel;
         self.instructions_retired += used;
-        device.charge_ic(&self.ics.stats.since(&ic_mark));
         outcome
     }
 
@@ -408,46 +274,15 @@ mod tests {
     }
 
     #[test]
-    fn resolve_call_matches_string_resolution() {
-        let mut p = Process::new("com.a".to_string(), classes(), &manifest());
-        let child = p.interner.intern("com.a.Child");
-        let inherited = p.interner.intern("inherited");
-        let nope = p.interner.intern("nope");
-        // Cold, then cached, then compared against the reference path.
-        assert!(p.resolve_call(child, inherited).is_some());
-        assert!(p.resolve_call(child, inherited).is_some());
-        assert!(p.resolve_method("com.a.Child", "inherited").is_some());
-        assert!(p.resolve_call(child, nope).is_none());
-        // The negative is cached at the current space count...
-        assert!(p.resolve_call(child, nope).is_none());
-        // ...and re-checked after a space is appended.
-        let mut b = DexBuilder::new();
-        b.class("com.a.Child", "com.a.Base")
-            .method("nope", "()V", AccessFlags::PUBLIC)
-            .ret_void();
-        p.spaces.push(b.build());
-        // First-match keeps the original Child (without `nope`), so the
-        // lookup result must not change — exactly like resolve_method.
-        assert_eq!(
-            p.resolve_call(child, nope).is_some(),
-            p.resolve_method("com.a.Child", "nope").is_some()
-        );
-    }
-
-    #[test]
     fn statics_preserve_map_surface() {
         let mut s = Statics::default();
         let key = ("com.a.G".to_string(), "v".to_string());
-        assert!(s.get(&key).is_none());
+        assert!(!s.contains_key(&key));
         assert!(s.is_empty());
         s.insert(key.clone(), Value::Int(1));
         s.insert(key.clone(), Value::Int(2));
         assert_eq!(s.get(&key), Some(&Value::Int(2)));
         assert_eq!(s.len(), 1);
-        // Slot indices are stable once created.
-        let idx = s.slot_index("com.a.G", "v").unwrap();
-        assert_eq!(s.ensure_slot("com.a.G", "v"), idx);
-        assert_eq!(s.slot(idx), &Value::Int(2));
     }
 
     #[test]

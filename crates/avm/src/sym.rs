@@ -1,8 +1,8 @@
 //! String interning for class, method and field names.
 //!
-//! The interpreter's hot path (dispatch, field access, the call stack)
-//! works on dense [`Sym`] ids instead of owned strings; names are
-//! resolved back to `&str` only at event-emission and error boundaries.
+//! Heap object classes and fields and the interpreter's call stack hold
+//! dense [`Sym`] ids instead of owned strings; names are resolved back
+//! to `&str` only at event-emission and error boundaries.
 //! Ids are per-[`crate::Process`] and never recycled, so a `Sym` obtained
 //! once stays valid for the life of the process.
 
@@ -16,8 +16,8 @@ pub struct Sym(pub u32);
 ///
 /// Interning the same string twice returns the same id; resolution is a
 /// bounds-checked vector index. The table only grows (symbols are never
-/// freed), which is what makes cached `Sym`-keyed structures — resolved
-/// code, inline caches, heap field tables — sound without invalidation.
+/// freed), which is what makes `Sym`-keyed structures such as heap field
+/// tables sound without invalidation.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     map: HashMap<String, u32>,
@@ -69,6 +69,7 @@ impl Interner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn intern_is_idempotent() {
@@ -97,5 +98,22 @@ mod tests {
         let s = i.intern("x");
         assert_eq!(i.get("x"), Some(s));
         assert_eq!(i.len(), 1);
+    }
+
+    proptest! {
+        /// Interning any sequence of names round-trips exactly, is
+        /// idempotent, and assigns one dense id per distinct string.
+        #[test]
+        fn interner_round_trips(names in proptest::collection::vec(".{0,24}", 0..48)) {
+            let mut interner = Interner::new();
+            let syms: Vec<_> = names.iter().map(|n| interner.intern(n)).collect();
+            for (name, sym) in names.iter().zip(&syms) {
+                prop_assert_eq!(interner.resolve(*sym), name.as_str());
+                prop_assert_eq!(interner.intern(name), *sym);
+                prop_assert_eq!(interner.get(name), Some(*sym));
+            }
+            let distinct: std::collections::HashSet<&String> = names.iter().collect();
+            prop_assert_eq!(interner.len(), distinct.len());
+        }
     }
 }

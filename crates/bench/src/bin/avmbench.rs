@@ -1,16 +1,10 @@
 //! rebar-style interpreter benchmark: drives a fixed mini-corpus of
-//! synthetic bytecode workloads through the AVM twice — once on the
-//! **legacy** string-resolving interpreter and once on the default
-//! **fast** path (interned symbols, pre-resolved instruction streams,
-//! inline caches, arena heap) — verifies both retire exactly the same
-//! instruction count, and emits a unified `BENCH_avm.json` measurement
-//! record (appended to `BENCH_history.jsonl`) with per-workload samples
+//! synthetic bytecode workloads through the AVM's interpreter and emits
+//! a unified `BENCH_avm.json` measurement record (appended to
+//! `BENCH_history.jsonl`) with per-workload instructions/second samples,
 //! so future changes have a regression trajectory. The retired
 //! instruction count is a `Steady` virtual identity benchcmp gates
 //! across machines.
-//!
-//! `--min-speedup` gates on the **aggregate** speedup (total instructions
-//! over total wall-clock, fast vs legacy): CI passes `3.0`.
 
 use std::time::Instant;
 
@@ -19,8 +13,8 @@ use dydroid_bench::{ArgParser, CommonArgs, Direction, Measurement, Stats, EXIT_F
 use dydroid_dex::builder::DexBuilder;
 use dydroid_dex::{AccessFlags, CmpKind, DexFile, FieldRef, Manifest, MethodRef};
 
-const USAGE: &str = "avmbench [--samples N] [--warmup N] [--iters N] [--min-speedup F] \
-[--out PATH] [--history PATH | --no-history]";
+const USAGE: &str = "avmbench [--samples N] [--warmup N] [--iters N] [--out PATH] \
+[--history PATH | --no-history]";
 
 const PKG: &str = "com.bench.app";
 const ENTRY_CLASS: &str = "com.bench.Main";
@@ -40,8 +34,7 @@ fn add_worker(b: &mut DexBuilder) {
     m.ret_void();
 }
 
-/// Virtual-call churn: one hot monomorphic call site invoked in a loop —
-/// the case the call-site inline cache exists for.
+/// Virtual-call churn: one hot monomorphic call site invoked in a loop.
 fn workload_calls() -> DexFile {
     let mut b = DexBuilder::new();
     add_worker(&mut b);
@@ -64,8 +57,7 @@ fn workload_calls() -> DexFile {
 }
 
 /// Field churn: eight-field object, hot loop reads/writes the *last*
-/// declared field — worst case for a linear scan, best case for the
-/// field slot cache.
+/// declared field — the worst case for the heap's linear field scan.
 fn workload_fields() -> DexFile {
     let mut b = DexBuilder::new();
     let c = b.class(ENTRY_CLASS, "java.lang.Object");
@@ -121,8 +113,7 @@ fn workload_mixed() -> DexFile {
     b.build()
 }
 
-/// Pure register arithmetic — the floor: no names, no dispatch, so both
-/// interpreters should be close here.
+/// Pure register arithmetic — the floor: no names, no dispatch.
 fn workload_arith() -> DexFile {
     let mut b = DexBuilder::new();
     let c = b.class(ENTRY_CLASS, "java.lang.Object");
@@ -161,13 +152,12 @@ struct Measured {
     total_secs: f64,
 }
 
-/// Runs one workload in one mode: a persistent process executes the
-/// entry `iters` times per sample (resetting the heap between entries
-/// so the arena, register pool and inline caches are exercised in
-/// steady state), `warmup` unrecorded rounds first.
-fn measure(classes: &DexFile, legacy: bool, common: &CommonArgs, iters: usize) -> Measured {
+/// Runs one workload: a persistent process executes the entry `iters`
+/// times per sample (resetting the heap between entries so the arena
+/// and register pool are exercised in steady state), `warmup`
+/// unrecorded rounds first.
+fn measure(classes: &DexFile, common: &CommonArgs, iters: usize) -> Measured {
     let mut device = Device::new(DeviceConfig {
-        legacy_interp: legacy,
         instrumented: false,
         ..DeviceConfig::default()
     });
@@ -177,7 +167,7 @@ fn measure(classes: &DexFile, legacy: bool, common: &CommonArgs, iters: usize) -
         for _ in 0..iters {
             proc.heap.reset();
             if !proc.run_entry(device, ENTRY_CLASS, ENTRY) {
-                eprintln!("avmbench: FAIL — workload crashed (legacy={legacy})");
+                eprintln!("avmbench: FAIL — workload crashed");
                 std::process::exit(EXIT_FINDING);
             }
         }
@@ -204,18 +194,6 @@ fn measure(classes: &DexFile, legacy: bool, common: &CommonArgs, iters: usize) -
     }
 }
 
-fn variant_json(m: &Measured) -> serde_json::Value {
-    let stats = Stats::from_samples(&m.samples_ips);
-    serde_json::json!({
-        "samples_ips": m.samples_ips,
-        "mean_ips": stats.mean,
-        "median_ips": stats.median,
-        "stddev_ips": stats.stddev,
-        "instructions": m.total_instructions,
-        "wall_secs": m.total_secs,
-    })
-}
-
 fn main() {
     let mut parser = ArgParser::new(USAGE);
     let mut common = CommonArgs::for_bench("BENCH_avm.json", 10, 3);
@@ -231,106 +209,70 @@ fn main() {
             other => parser.fail(&format!("unknown argument {other:?}")),
         }
     }
+    if let Some((gate, _)) = common.gates.first() {
+        parser.fail(&format!("avmbench has no --min-{gate} gate"));
+    }
 
     // The iteration count shapes the instruction-retirement identity, so
     // it belongs in the workload string: records at different --iters
     // are a shape mismatch and their Steady metrics must not gate.
-    let workload = format!("legacy-vs-fast-i{iters}");
+    let workload = format!("interp-i{iters}");
     let mut record = Measurement::new("avm", &workload, common.scale, common.seed);
     record.samples = common.samples;
     record.warmup = common.warmup;
 
     let mut per_workload = Vec::new();
-    let mut legacy_insns = 0u64;
-    let mut legacy_secs = 0.0f64;
-    let mut fast_insns = 0u64;
-    let mut fast_secs = 0.0f64;
+    let mut total_insns = 0u64;
+    let mut total_secs = 0.0f64;
 
     for (name, classes) in workloads() {
-        eprintln!("avmbench: {name} ...");
-        let legacy = measure(&classes, true, &common, iters);
-        let fast = measure(&classes, false, &common, iters);
-        // Correctness identity: both interpreters must retire exactly
-        // the same instruction count on the same program.
-        if legacy.total_instructions != fast.total_instructions {
-            eprintln!(
-                "avmbench: FAIL — {name}: legacy retired {} instructions, fast retired {}",
-                legacy.total_instructions, fast.total_instructions
-            );
-            std::process::exit(EXIT_FINDING);
-        }
-        let legacy_med = Stats::from_samples(&legacy.samples_ips).median;
-        let fast_med = Stats::from_samples(&fast.samples_ips).median;
-        let speedup = fast_med / legacy_med.max(1.0);
+        let m = measure(&classes, &common, iters);
+        let median = Stats::from_samples(&m.samples_ips).median;
         eprintln!(
-            "avmbench: {name:<8} legacy {legacy_med:>12.0} ips | fast {fast_med:>12.0} ips | {speedup:.2}x"
+            "avmbench: {name:<8} {median:>12.0} ips, {} instructions",
+            m.total_instructions
         );
-        legacy_insns += legacy.total_instructions;
-        legacy_secs += legacy.total_secs;
-        fast_insns += fast.total_instructions;
-        fast_secs += fast.total_secs;
+        total_insns += m.total_instructions;
+        total_secs += m.total_secs;
         record.push_metric(
-            &format!("{name}_fast_ips"),
+            &format!("{name}_ips"),
             "instructions/sec",
             Direction::Higher,
             false,
-            fast.samples_ips.clone(),
-        );
-        record.push_metric(
-            &format!("{name}_speedup"),
-            "ratio",
-            Direction::Higher,
-            false,
-            vec![speedup],
+            m.samples_ips.clone(),
         );
         per_workload.push(serde_json::json!({
             "workload": name,
-            "legacy": variant_json(&legacy),
-            "fast": variant_json(&fast),
-            "speedup": speedup,
+            "samples_ips": m.samples_ips,
+            "median_ips": median,
+            "instructions": m.total_instructions,
+            "wall_secs": m.total_secs,
         }));
     }
 
-    let legacy_agg = legacy_insns as f64 / legacy_secs.max(f64::MIN_POSITIVE);
-    let fast_agg = fast_insns as f64 / fast_secs.max(f64::MIN_POSITIVE);
-    let aggregate = fast_agg / legacy_agg.max(1.0);
-    eprintln!(
-        "avmbench: aggregate legacy {legacy_agg:.0} ips -> fast {fast_agg:.0} ips ({aggregate:.2}x)"
-    );
-
+    let aggregate = total_insns as f64 / total_secs.max(f64::MIN_POSITIVE);
+    eprintln!("avmbench: aggregate {aggregate:.0} ips");
     record.push_metric(
-        "aggregate_fast_ips",
+        "aggregate_ips",
         "instructions/sec",
-        Direction::Higher,
-        false,
-        vec![fast_agg],
-    );
-    record.push_metric(
-        "aggregate_speedup",
-        "ratio",
         Direction::Higher,
         false,
         vec![aggregate],
     );
-    // Deterministic identity: the fast path must retire exactly this
+    // Deterministic identity: the interpreter must retire exactly this
     // many instructions for the fixed workloads, on any machine.
     record.push_metric(
         "instructions_retired",
         "count",
         Direction::Steady,
         true,
-        vec![fast_insns as f64],
+        vec![total_insns as f64],
     );
-    record.counter("avm.instructions_retired", fast_insns);
+    record.counter("avm.instructions_retired", total_insns);
 
     record.payload = serde_json::json!({
         "iters_per_sample": iters,
         "workloads": per_workload,
-        "aggregate": serde_json::json!({
-            "legacy_ips": legacy_agg,
-            "fast_ips": fast_agg,
-            "speedup": aggregate,
-        }),
     });
 
     record
@@ -338,13 +280,4 @@ fn main() {
         .expect("write bench output");
     eprintln!("avmbench: wrote {}", common.out);
     common.append_history("avmbench", &record);
-
-    if let Some(min_speedup) = common.gate("speedup") {
-        if aggregate < min_speedup {
-            eprintln!(
-                "avmbench: FAIL — aggregate speedup {aggregate:.2}x below required {min_speedup:.2}x"
-            );
-            std::process::exit(EXIT_FINDING);
-        }
-    }
 }

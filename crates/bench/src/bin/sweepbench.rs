@@ -1,9 +1,7 @@
 //! rebar-style sweep benchmark: runs a fixed-seed corpus sweep through
-//! two variants — the **uncached serial baseline** (analysis cache off,
-//! Table VIII re-runs serial with per-config re-decompilation) and the
-//! **optimized** path (content-addressed cache on, parallel
-//! decompile-once re-runs) — verifies both produce identical measurement
-//! JSON, then sweeps the worker count 1→N through the sharded
+//! two variants — the **uncached baseline** (analysis cache off) and the
+//! **cached** path (content-addressed analysis cache on) — verifies both
+//! produce identical measurement JSON, then sweeps the worker count 1→N through the sharded
 //! multi-writer path and emits the apps/sec-per-core scaling curve.
 //!
 //! Each variant is sampled over several rounds (rebar warmup/sample
@@ -148,13 +146,12 @@ fn main() {
     };
     let baseline_config = PipelineConfig {
         analysis_cache: false,
-        serial_env_reruns: true,
         telemetry: false,
         ..PipelineConfig::default()
     };
 
     eprintln!(
-        "sweepbench: cached + parallel-rerun sweep ({} warmup + {} sample rounds) ...",
+        "sweepbench: cached sweep ({} warmup + {} sample rounds) ...",
         common.warmup, common.samples
     );
     let mut cached_report: Option<MeasurementReport> = None;
@@ -199,7 +196,7 @@ fn main() {
 
     if !skip_baseline {
         eprintln!(
-            "sweepbench: uncached serial baseline ({} warmup + {} sample rounds) ...",
+            "sweepbench: uncached baseline ({} warmup + {} sample rounds) ...",
             common.warmup, common.samples
         );
         let mut baseline_report: Option<MeasurementReport> = None;

@@ -56,21 +56,6 @@ pub struct PipelineConfig {
     /// Shard count of the analysis cache's lock-striped map (rounded up
     /// to a power of two; `0` = default sizing).
     pub cache_shards: usize,
-    /// Run the Table VIII environment re-runs serially with per-config
-    /// re-decompilation (the pre-optimization code path), instead of
-    /// fanning (app × config) pairs over the worker pool with a single
-    /// decompile per app. Kept for differential tests and the
-    /// `sweepbench` baseline.
-    pub serial_env_reruns: bool,
-    /// Route malware detection through the quadratic naive scan instead
-    /// of the inverted block index. Kept for differential tests and the
-    /// `detectbench` baseline; verdicts are identical either way.
-    pub naive_detector: bool,
-    /// Run every app on the AVM's legacy string-resolving interpreter
-    /// instead of the interned/pre-resolved fast path. Outcomes —
-    /// verdicts, ledger, report JSON — are identical either way; kept
-    /// for differential tests and the `avmbench` baseline.
-    pub legacy_interp: bool,
     /// Collect span traces and metrics during the run (see
     /// `crate::telemetry`). Disabled, every telemetry call site is a
     /// single branch — the no-op fast path measured by `tracebench`.
@@ -157,9 +142,6 @@ impl Default for PipelineConfig {
             retry_reseed: true,
             analysis_cache: true,
             cache_shards: 0,
-            serial_env_reruns: false,
-            naive_detector: false,
-            legacy_interp: false,
             telemetry: true,
             progress: false,
             trace_out: None,
@@ -182,10 +164,7 @@ impl Default for PipelineConfig {
 impl PipelineConfig {
     /// The baseline device configuration (instrumented, defaults).
     pub fn device_config(&self) -> DeviceConfig {
-        DeviceConfig {
-            legacy_interp: self.legacy_interp,
-            ..DeviceConfig::default()
-        }
+        DeviceConfig::default()
     }
 
     /// The deadline as an `Option` (`0` = disabled).
@@ -234,9 +213,6 @@ mod tests {
         assert!(c.retry_reseed);
         assert!(c.analysis_cache);
         assert_eq!(c.cache_shards, 0);
-        assert!(!c.serial_env_reruns);
-        assert!(!c.naive_detector);
-        assert!(!c.legacy_interp);
         assert!(c.telemetry);
         assert!(!c.progress);
         assert_eq!(c.trace_out, None);

@@ -188,9 +188,7 @@ impl Pipeline {
     /// inverted block index is built once here, at train time).
     pub fn new(config: PipelineConfig) -> Self {
         let telemetry = Telemetry::new(config.telemetry);
-        let mut detector =
-            training::reference_detector_traced(config.malware_threshold, &telemetry);
-        detector.set_naive(config.naive_detector);
+        let detector = training::reference_detector_traced(config.malware_threshold, &telemetry);
         let cache = if config.analysis_cache {
             AnalysisCache::new(config.cache_shards)
         } else {
@@ -350,17 +348,13 @@ impl Pipeline {
         }
     }
 
-    /// Marks of the monotonic avm counters (truncation + inline caches),
-    /// for per-run deltas.
+    /// Marks of the monotonic avm truncation counters, for per-run
+    /// deltas.
     fn avm_counter_marks(&self) -> AvmMarks {
         AvmMarks {
             events_dropped: self.telemetry.counter_value("avm.events_dropped"),
             flow_truncated: self.telemetry.counter_value("avm.flow_edges_truncated"),
             flow_deduped: self.telemetry.counter_value("avm.flow_edges_deduped"),
-            ic_call_hits: self.telemetry.counter_value("avm.ic_call_hits"),
-            ic_call_misses: self.telemetry.counter_value("avm.ic_call_misses"),
-            ic_field_hits: self.telemetry.counter_value("avm.ic_field_hits"),
-            ic_field_misses: self.telemetry.counter_value("avm.ic_field_misses"),
         }
     }
 
@@ -1241,22 +1235,6 @@ impl Pipeline {
                 .telemetry
                 .counter_value("avm.flow_edges_deduped")
                 .saturating_sub(avm_marks.flow_deduped),
-            ic_call_hits: self
-                .telemetry
-                .counter_value("avm.ic_call_hits")
-                .saturating_sub(avm_marks.ic_call_hits),
-            ic_call_misses: self
-                .telemetry
-                .counter_value("avm.ic_call_misses")
-                .saturating_sub(avm_marks.ic_call_misses),
-            ic_field_hits: self
-                .telemetry
-                .counter_value("avm.ic_field_hits")
-                .saturating_sub(avm_marks.ic_field_hits),
-            ic_field_misses: self
-                .telemetry
-                .counter_value("avm.ic_field_misses")
-                .saturating_sub(avm_marks.ic_field_misses),
             journal_syncs: io.syncs[StreamKind::Journal.index()],
             io_retries: io.retries,
             io_backoff_us: io.backoff_us,
@@ -1656,17 +1634,8 @@ impl Pipeline {
         )
     }
 
-    /// Builds a device with the app's environment fixtures in place. The
-    /// interpreter selection always follows the pipeline's
-    /// `legacy_interp` knob, whatever environment configuration the
-    /// caller passes (the Table VIII re-runs vary device state, not the
-    /// execution engine).
-    pub fn prepare_device(
-        &self,
-        app: &SyntheticApp,
-        mut config: dydroid_avm::DeviceConfig,
-    ) -> Device {
-        config.legacy_interp = self.config.legacy_interp;
+    /// Builds a device with the app's environment fixtures in place.
+    pub fn prepare_device(&self, app: &SyntheticApp, config: dydroid_avm::DeviceConfig) -> Device {
         let mut device = Device::new(config);
         device.hooks.suppress_file_ops = self.config.suppress_file_ops;
         device.log.set_capacity(self.config.max_events_per_app);
@@ -1746,29 +1715,17 @@ impl Pipeline {
         });
         let mut monkey_span = self.telemetry.span_with_parent("monkey", parent_span);
         let instructions_before = device.instructions_retired();
-        let ic_before = device.ic_stats();
         let fires_before = device.hooks.fire_count();
         let exercised = monkey.exercise(device, package);
-        // The avm contributes instruction-retirement, inline-cache and
-        // hook-fire deltas to the monkey span and the run-wide counters.
+        // The avm contributes instruction-retirement and hook-fire deltas to the monkey span and the run-wide counters.
         let instructions = device.instructions_retired() - instructions_before;
         let virtual_us = dydroid_monkey::virtual_us(instructions);
-        let ic = device.ic_stats().since(&ic_before);
         let hook_fires = device.hooks.fire_count() - fires_before;
         if monkey_span.is_recording() {
             monkey_span.field("instructions", instructions);
             monkey_span.field("hook_fires", hook_fires);
-            monkey_span.field("ic_hits", ic.hits());
-            monkey_span.field("ic_misses", ic.misses());
             self.telemetry.counter_add("avm.instructions", instructions);
             self.telemetry.counter_add("avm.hook_fires", hook_fires);
-            self.telemetry.counter_add("avm.ic_call_hits", ic.call_hits);
-            self.telemetry
-                .counter_add("avm.ic_call_misses", ic.call_misses);
-            self.telemetry
-                .counter_add("avm.ic_field_hits", ic.field_hits);
-            self.telemetry
-                .counter_add("avm.ic_field_misses", ic.field_misses);
             self.telemetry.counter_add("monkey.virtual_us", virtual_us);
         }
         let status = match exercised {
@@ -2330,10 +2287,6 @@ struct AvmMarks {
     events_dropped: u64,
     flow_truncated: u64,
     flow_deduped: u64,
-    ic_call_hits: u64,
-    ic_call_misses: u64,
-    ic_field_hits: u64,
-    ic_field_misses: u64,
 }
 
 /// Recovery counts carried into [`Pipeline::assemble`] for [`SweepStats`].

@@ -47,16 +47,6 @@ pub struct SweepStats {
     pub flow_truncated: u64,
     /// Duplicate flow-rule firings folded into edge multiplicities.
     pub flow_deduped: u64,
-    /// Interpreter call-site inline-cache hits across the baseline
-    /// sweep (zero under `PipelineConfig::legacy_interp`).
-    pub ic_call_hits: u64,
-    /// Interpreter call-site inline-cache misses (first executions and
-    /// receiver-class flips at a site).
-    pub ic_call_misses: u64,
-    /// Field/static slot-cache hits (iget/iput/sget/sput).
-    pub ic_field_hits: u64,
-    /// Field/static slot-cache misses.
-    pub ic_field_misses: u64,
     /// Fsyncs issued on the sweep journal (see
     /// `PipelineConfig::sync_policy`).
     pub journal_syncs: u64,
@@ -121,7 +111,7 @@ impl SweepStats {
     }
 
     /// The run's headline counters as an ordered name → value map: the
-    /// cache, inline-cache, scheduler, sharding, durability and recovery
+    /// cache, detector, scheduler, sharding, durability and recovery
     /// counters the unified bench measurement record (`dydroid-bench`)
     /// carries in its `counters` envelope. Names use the same dotted
     /// convention as the telemetry metrics registry.
@@ -140,10 +130,6 @@ impl SweepStats {
         put("detector.pruned", self.detector.pruned);
         put("detector.fully_scored", self.detector.fully_scored);
         put("detector.early_exits", self.detector.early_exits);
-        put("ic.call_hits", self.ic_call_hits);
-        put("ic.call_misses", self.ic_call_misses);
-        put("ic.field_hits", self.ic_field_hits);
-        put("ic.field_misses", self.ic_field_misses);
         put("events.dropped", self.dropped_events);
         put("flow.truncated", self.flow_truncated);
         put("flow.deduped", self.flow_deduped);
@@ -523,19 +509,6 @@ impl MeasurementReport {
             "  instrumentation bounds: {} events dropped, {} flow edges truncated, {} deduped",
             st.dropped_events, st.flow_truncated, st.flow_deduped
         );
-        let ic_total = st.ic_call_hits + st.ic_call_misses + st.ic_field_hits + st.ic_field_misses;
-        if ic_total > 0 {
-            let hits = st.ic_call_hits + st.ic_field_hits;
-            let _ = writeln!(
-                s,
-                "  avm inline caches: {} call hits / {} misses, {} field hits / {} misses ({:.2}% hit rate)",
-                st.ic_call_hits,
-                st.ic_call_misses,
-                st.ic_field_hits,
-                st.ic_field_misses,
-                hits as f64 / ic_total as f64 * 100.0
-            );
-        }
         let _ = writeln!(
             s,
             "  durability: {} journal fsyncs, {} transient retries ({} µs backoff), {} events / {} provenance records shed",

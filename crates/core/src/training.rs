@@ -80,7 +80,6 @@ mod tests {
         let json = serde_json::to_string(&detector).expect("serialize");
         let reloaded: MalwareDetector = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(reloaded.sample_count(), detector.sample_count());
-        assert!(!reloaded.is_naive());
         let (dex, _) = dydroid_workload::emit::swiss_payload(7);
         let probe = CodeBinary::Dex(dex);
         let before = detector.detect(&probe).expect("swiss variant");

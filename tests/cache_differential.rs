@@ -1,9 +1,7 @@
-//! Differential tests for the content-addressed analysis cache, the
-//! parallel environment re-runs, and the indexed signature matcher: the
-//! optimizations must not change a single measured byte, and the cache
-//! must analyse each unique intercepted binary exactly once.
+//! Differential tests for the content-addressed analysis cache: it must
+//! not change a single measured byte, and it must analyse each unique
+//! intercepted binary exactly once.
 
-use dydroid::environment::{rerun_all, rerun_all_serial};
 use dydroid::{Pipeline, PipelineConfig};
 use dydroid_workload::{generate, CorpusSpec};
 
@@ -20,22 +18,21 @@ fn cached_config() -> PipelineConfig {
     PipelineConfig::default()
 }
 
-fn uncached_serial_config() -> PipelineConfig {
+fn uncached_config() -> PipelineConfig {
     PipelineConfig {
         analysis_cache: false,
-        serial_env_reruns: true,
         ..PipelineConfig::default()
     }
 }
 
-/// The tentpole invariant: with the cache on (and parallel re-runs) the
-/// report JSON is byte-identical to the uncached serial sweep.
+/// The tentpole invariant: with the cache on the report JSON is
+/// byte-identical to the uncached sweep.
 #[test]
 fn cached_sweep_report_is_byte_identical_to_uncached() {
     let corpus = tiny_corpus();
 
     let cached = Pipeline::new(cached_config()).run(&corpus);
-    let uncached = Pipeline::new(uncached_serial_config()).run(&corpus);
+    let uncached = Pipeline::new(uncached_config()).run(&corpus);
 
     let cached_json = serde_json::to_string(&cached).expect("serialise cached report");
     let uncached_json = serde_json::to_string(&uncached).expect("serialise uncached report");
@@ -45,46 +42,7 @@ fn cached_sweep_report_is_byte_identical_to_uncached() {
     );
     assert_eq!(
         cached_json, uncached_json,
-        "cache + parallel re-runs changed the measured results"
-    );
-}
-
-/// The indexed matcher invariant: routing detection through the
-/// inverted block index (the default) yields a report byte-identical to
-/// the naive quadratic scan, at the paper's 90% match threshold where
-/// near-boundary variant scores decide verdicts.
-#[test]
-fn indexed_detector_report_is_byte_identical_to_naive() {
-    let corpus = tiny_corpus();
-
-    let indexed_pipeline = Pipeline::new(cached_config());
-    let indexed = indexed_pipeline.run(&corpus);
-    let naive_pipeline = Pipeline::new(PipelineConfig {
-        naive_detector: true,
-        ..PipelineConfig::default()
-    });
-    let naive = naive_pipeline.run(&corpus);
-
-    let indexed_json = serde_json::to_string(&indexed).expect("serialise indexed report");
-    let naive_json = serde_json::to_string(&naive).expect("serialise naive report");
-    assert_eq!(
-        indexed_json, naive_json,
-        "indexed signature matching changed the measured results"
-    );
-
-    // The index actually ran (and pruned) on the default path, while the
-    // naive path considered every sample and pruned nothing.
-    let istats = indexed_pipeline.detector_stats();
-    let nstats = naive_pipeline.detector_stats();
-    assert!(istats.candidates > 0, "indexed path saw no candidates");
-    assert!(
-        istats.fully_scored <= istats.candidates,
-        "scored candidates cannot exceed generated ones"
-    );
-    assert_eq!(nstats.pruned, 0, "naive scan must not prune");
-    assert!(
-        nstats.candidates >= istats.candidates,
-        "the index must not consider more samples than the naive scan"
+        "the analysis cache changed the measured results"
     );
 }
 
@@ -133,7 +91,7 @@ fn cache_analyzes_each_unique_binary_exactly_once() {
 #[test]
 fn disabled_cache_recomputes_every_lookup() {
     let corpus = tiny_corpus();
-    let pipeline = Pipeline::new(uncached_serial_config());
+    let pipeline = Pipeline::new(uncached_config());
 
     let _ = pipeline.run(&corpus);
     let stats = pipeline.cache_stats();
@@ -142,30 +100,5 @@ fn disabled_cache_recomputes_every_lookup() {
     assert_eq!(
         stats.sig_builds, stats.misses,
         "disabled cache still builds one signature per lookup"
-    );
-}
-
-/// Parallel (app × config) environment re-runs produce the same Table
-/// VIII counts as the serial decompile-per-config reference path.
-#[test]
-fn parallel_env_reruns_match_serial_counts() {
-    let corpus = tiny_corpus();
-    // Sweep once without re-runs to obtain the flagged records.
-    let pipeline = Pipeline::new(PipelineConfig {
-        environment_reruns: false,
-        ..PipelineConfig::default()
-    });
-    let report = pipeline.run(&corpus);
-    let records = report.records();
-
-    let parallel = rerun_all(&pipeline, &corpus, records);
-    let serial = rerun_all_serial(&pipeline, &corpus, records);
-    assert!(
-        parallel.counts.total_files > 0,
-        "fixed-seed corpus must flag some malware for the re-runs"
-    );
-    assert_eq!(
-        parallel, serial,
-        "parallel re-run outcomes (counts and per-file loads) diverge from serial"
     );
 }

@@ -3,7 +3,8 @@
 //! same family, same score *bits* — as the naive quadratic scan, for
 //! every training set, test binary, and threshold, including empty and
 //! trivial (< 2 block) samples and scores sitting exactly on the
-//! threshold boundary.
+//! threshold boundary. The naive scan prunes nothing, and the index
+//! never considers more samples than it.
 
 use dydroid_analysis::{BinarySig, BlockSig, MalwareDetector};
 use proptest::prelude::*;
@@ -36,6 +37,35 @@ fn threshold() -> impl Strategy<Value = f64> {
     prop::sample::select(vec![0.0, 0.25, 0.5, 0.75, 0.9, 1.0])
 }
 
+/// Checks the matcher counters after one detection on each of two
+/// identically trained detectors: `indexed` ran `detect_sig`, `naive`
+/// ran `detect_sig_naive`, and `matched` says whether a family matched.
+fn check_stats(
+    indexed: &MalwareDetector,
+    naive: &MalwareDetector,
+    matched: bool,
+) -> Result<(), String> {
+    let istats = indexed.stats();
+    let nstats = naive.stats();
+    // At a non-positive threshold even samples sharing no block pass the
+    // bound, so they are scored (and can match) without being candidates.
+    if indexed.threshold() > 0.0 {
+        if matched {
+            prop_assert!(istats.candidates > 0, "a match needs a candidate");
+        }
+        prop_assert!(
+            istats.fully_scored <= istats.candidates,
+            "scored candidates cannot exceed generated ones"
+        );
+    }
+    prop_assert_eq!(nstats.pruned, 0, "naive scan must not prune");
+    prop_assert!(
+        nstats.candidates >= istats.candidates,
+        "the index must not consider more samples than the naive scan"
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -53,12 +83,12 @@ proptest! {
                 .collect();
             indexed.train_sigs(format!("family_{f}"), sigs);
         }
-        let mut naive = indexed.clone();
-        naive.set_naive(true);
+        let naive = indexed.clone();
 
         let test = BinarySig::from_blocks(test_blocks);
         let a = indexed.detect_sig(&test);
-        let b = naive.detect_sig(&test);
+        let b = naive.detect_sig_naive(&test);
+        check_stats(&indexed, &naive, a.is_some())?;
         match (&a, &b) {
             (None, None) => {}
             (Some(x), Some(y)) => {
@@ -79,8 +109,7 @@ proptest! {
         // precisely on the 0.9 default threshold.
         let mut indexed = MalwareDetector::with_threshold(0.9);
         indexed.train_sigs("fam", vec![BinarySig::from_blocks(base.clone())]);
-        let mut naive = indexed.clone();
-        naive.set_naive(true);
+        let naive = indexed.clone();
 
         let mut probe: Vec<BlockSig> = base.iter().take(keep.min(10)).copied().collect();
         probe.resize(
@@ -92,7 +121,8 @@ proptest! {
         );
         let test = BinarySig::from_blocks(probe);
         let a = indexed.detect_sig(&test);
-        let b = naive.detect_sig(&test);
+        let b = naive.detect_sig_naive(&test);
+        check_stats(&indexed, &naive, a.is_some())?;
         prop_assert_eq!(a.is_some(), b.is_some());
         if let (Some(x), Some(y)) = (&a, &b) {
             prop_assert_eq!(&x.family, &y.family);
