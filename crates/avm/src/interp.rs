@@ -16,8 +16,8 @@
 //! spaces and runs the method's own instruction stream. Operands stay
 //! as the decoded strings; names are interned only where they enter the
 //! heap or the call stack, and register files are pooled per process.
-//! An app retires a few dozen instructions per process, so resolving by
-//! name costs less than any cache would save.
+//! Apps retire a few dozen instructions per process, too few for a
+//! per-process resolution cache to warm up.
 
 use dydroid_dex::{AccessFlags, Instruction, InvokeKind, Method};
 

@@ -168,7 +168,7 @@ pub struct Measurement {
     /// Recorded sample rounds.
     pub samples: usize,
     /// Counters fed from the telemetry metrics registry / `SweepStats`
-    /// (cache hits, inline-cache hits, steals, shard contention,
+    /// (cache hits, detector pruning, steals, shard contention,
     /// recovery counters), keyed by metric name.
     pub counters: BTreeMap<String, u64>,
     /// The named measurements.
@@ -228,8 +228,8 @@ impl Measurement {
     }
 
     /// Merges the sweep-level counters of a finished run (cache and
-    /// inline-cache hit counters, scheduler steals, shard contention,
-    /// recovery and durability counters) into the record.
+    /// detector counters, scheduler steals, shard contention, recovery
+    /// and durability counters) into the record.
     pub fn counters_from_stats(&mut self, stats: &dydroid::SweepStats) {
         for (name, value) in stats.counter_map() {
             self.counters.insert(name, value);

@@ -1717,7 +1717,8 @@ impl Pipeline {
         let instructions_before = device.instructions_retired();
         let fires_before = device.hooks.fire_count();
         let exercised = monkey.exercise(device, package);
-        // The avm contributes instruction-retirement and hook-fire deltas to the monkey span and the run-wide counters.
+        // The avm contributes instruction-retirement and hook-fire deltas
+        // to the monkey span and the run-wide counters.
         let instructions = device.instructions_retired() - instructions_before;
         let virtual_us = dydroid_monkey::virtual_us(instructions);
         let hook_fires = device.hooks.fire_count() - fires_before;
