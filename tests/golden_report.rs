@@ -9,8 +9,9 @@
 //! with `e2ebench digests` and says why in CHANGES.md.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use dydroid::{Journal, MeasurementReport, Pipeline, PipelineConfig};
+use dydroid::{IoHarness, Journal, MeasurementReport, Pipeline, PipelineConfig};
 use dydroid_workload::{generate, CorpusSpec, SyntheticApp};
 use serde_json::Value;
 
@@ -117,5 +118,47 @@ fn default_seed_journaled_matches_committed_digest() {
         .run_resumable(&corpus(seed), &journal)
         .expect("journaled sweep");
     let _ = std::fs::remove_dir_all(&dir);
+    assert_golden(&report, seed);
+}
+
+/// Write op at which the resume case kills its sweep. A default-seed
+/// journaled sweep with 2 workers makes about 56,400 harness-routed
+/// write ops, so this lands in its last quarter: most apps are
+/// journaled, the shard streams hold them, and a torn tail is left
+/// behind.
+const RESUME_CRASH_AT_OP: u64 = 48_000;
+
+#[test]
+fn default_seed_resumed_after_crash_matches_committed_digest() {
+    let seed = default_seed();
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("dydroid_golden_resume_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create journal dir");
+    let journal = Journal::new(dir.join("sweep.jsonl"));
+    journal.reset().expect("reset journal");
+    let corpus = corpus(seed);
+
+    let harness = IoHarness::new(Some(RESUME_CRASH_AT_OP), None);
+    let mut crashing = Pipeline::new(config(2));
+    crashing.set_io_harness(Arc::clone(&harness));
+    crashing
+        .run_resumable(&corpus, &journal)
+        .expect("interrupted sweep still returns");
+    assert!(
+        harness.crashed(),
+        "crash point {RESUME_CRASH_AT_OP} never fired ({} write ops)",
+        harness.ops()
+    );
+    let shards = journal.discover_shards().expect("discover shards");
+
+    let report = Pipeline::new(config(2))
+        .run_resumable(&corpus, &journal)
+        .expect("resumed sweep");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!shards.is_empty(), "the killed sweep left no shard streams");
+    assert!(
+        report.stats().recovered_records > 0,
+        "recovery returned no records"
+    );
     assert_golden(&report, seed);
 }
