@@ -1,10 +1,13 @@
 //! Property tests for the framed durable-record format: arbitrary record
 //! streams survive arbitrary truncation and single-bit corruption without
 //! ever being mis-parsed — the scanner recovers exactly the intact prefix
-//! and detects (never silently accepts) the first damaged frame.
+//! and detects (never silently accepts) the first damaged frame. The
+//! JSON those frames carry round-trips any string through the vendored
+//! `serde_json` shim.
 
 use dydroid::durable::{encode_frame, encode_frames, scan_stream};
 use proptest::prelude::*;
+use serde_json::Value;
 
 /// Arbitrary single-line JSON record bodies, the payload shape every
 /// persistent stream (journal, ledger, events) writes.
@@ -98,5 +101,18 @@ proptest! {
         prop_assert_eq!(scan.bodies.len(), flipped);
         prop_assert_eq!(&scan.bodies, &bodies[..flipped].to_vec());
         prop_assert_eq!(scan.valid_len as usize, frame_boundary(0, &bodies, flipped));
+    }
+
+    /// Any string survives `to_string` then `from_str`: multi-byte
+    /// UTF-8 runs, the escapes the encoder writes (quote, backslash,
+    /// newline, tab, other control characters as `\u00XX`), and the
+    /// plain runs between them.
+    #[test]
+    fn json_strings_round_trip(
+        s in "[a-z0-9 \"\\\\/\n\r\t\u{1}\u{8}\u{c}\u{1f}é߿ࠀ中\u{fffd}😀\u{10ffff}]{0,48}",
+    ) {
+        let text = serde_json::to_string(&Value::Str(s.clone())).expect("encode");
+        let back: Value = serde_json::from_str(&text).expect("decode");
+        prop_assert_eq!(back, Value::Str(s));
     }
 }
