@@ -175,6 +175,28 @@ pub fn decode_frame(line: &str) -> Result<(u64, &str), FrameDefect> {
     Ok((seq, body))
 }
 
+/// Where a scan of a framed stream stopped: everything
+/// [`visit_frames`] learns besides the bodies it hands out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanEnd {
+    /// Non-empty lines rejected at or after the first defect.
+    pub dropped: usize,
+    /// The defect that terminated the scan, if any.
+    pub defect: Option<FrameDefect>,
+    /// Sequence number the next appended frame must carry.
+    pub next_seq: u64,
+    /// Byte length of the valid prefix (including its trailing newline);
+    /// truncating the file here removes every rejected byte.
+    pub valid_len: u64,
+}
+
+impl ScanEnd {
+    /// True when the scan rejected nothing.
+    pub fn is_clean(&self) -> bool {
+        self.dropped == 0 && self.defect.is_none()
+    }
+}
+
 /// Result of scanning a framed stream for its longest valid prefix.
 #[derive(Debug, Clone, Default)]
 pub struct StreamScan {
@@ -192,23 +214,34 @@ pub struct StreamScan {
 }
 
 impl StreamScan {
+    fn new(bodies: Vec<String>, end: ScanEnd) -> Self {
+        StreamScan {
+            bodies,
+            dropped: end.dropped,
+            defect: end.defect,
+            next_seq: end.next_seq,
+            valid_len: end.valid_len,
+        }
+    }
+
     /// True when the scan rejected nothing.
     pub fn is_clean(&self) -> bool {
         self.dropped == 0 && self.defect.is_none()
     }
 }
 
-/// Scans raw stream bytes for the longest valid framed prefix.
+/// Walks raw stream bytes for the longest valid framed prefix, handing
+/// each valid frame's `(seq, body)` to `visit` as a slice of `bytes`.
 ///
 /// Validation stops at the first defect — a valid stream always carries
 /// sequence numbers `0..n` with no gaps — and everything from that point
 /// on is counted as dropped. Empty lines inside the valid prefix are
-/// skipped but kept (they cannot corrupt a reader).
-pub fn scan_stream(bytes: &[u8]) -> StreamScan {
-    let mut scan = StreamScan::default();
+/// skipped but kept (they cannot corrupt a reader). Every frame's
+/// header, length, CRC and sequence number is checked before `visit`
+/// sees its body.
+pub fn visit_frames<'a>(bytes: &'a [u8], mut visit: impl FnMut(u64, &'a str)) -> ScanEnd {
+    let mut end = ScanEnd::default();
     let mut pos = 0usize;
-    let mut defect = None;
-    let mut tail_start = bytes.len();
     while pos < bytes.len() {
         let nl = bytes[pos..].iter().position(|&b| b == b'\n');
         let (line_end, next_pos, has_newline) = match nl {
@@ -217,7 +250,7 @@ pub fn scan_stream(bytes: &[u8]) -> StreamScan {
         };
         let raw = &bytes[pos..line_end];
         if raw.is_empty() {
-            scan.valid_len = next_pos as u64;
+            end.valid_len = next_pos as u64;
             pos = next_pos;
             continue;
         }
@@ -225,11 +258,11 @@ pub fn scan_stream(bytes: &[u8]) -> StreamScan {
             Err(_) => Err(FrameDefect::BadUtf8),
             Ok(_) if !has_newline => Err(FrameDefect::TornTail),
             Ok(line) => decode_frame(line).and_then(|(seq, body)| {
-                if seq == scan.next_seq {
-                    Ok(body.to_string())
+                if seq == end.next_seq {
+                    Ok(body)
                 } else {
                     Err(FrameDefect::SeqGap {
-                        expected: scan.next_seq,
+                        expected: end.next_seq,
                         found: seq,
                     })
                 }
@@ -237,35 +270,71 @@ pub fn scan_stream(bytes: &[u8]) -> StreamScan {
         };
         match verdict {
             Ok(body) => {
-                scan.bodies.push(body);
-                scan.next_seq += 1;
-                scan.valid_len = next_pos as u64;
+                visit(end.next_seq, body);
+                end.next_seq += 1;
+                end.valid_len = next_pos as u64;
                 pos = next_pos;
             }
             Err(d) => {
-                defect = Some(d);
-                tail_start = pos;
+                end.defect = Some(d);
+                end.dropped = bytes[pos..]
+                    .split(|&b| b == b'\n')
+                    .filter(|line| !line.is_empty())
+                    .count();
                 break;
             }
         }
     }
-    if let Some(d) = defect {
-        scan.defect = Some(d);
-        scan.dropped = bytes[tail_start..]
-            .split(|&b| b == b'\n')
-            .filter(|line| !line.is_empty())
-            .count();
+    end
+}
+
+/// [`visit_frames`] over the framed stream at `path`; `Ok(None)` when
+/// the file is absent.
+pub fn visit_path(path: &Path, visit: impl FnMut(u64, &str)) -> io::Result<Option<ScanEnd>> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(visit_frames(&bytes, visit))),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
     }
-    scan
+}
+
+/// Deserializes the bodies of the valid framed prefix at `path`, and
+/// counts what was dropped: the scan's rejected lines, plus every body
+/// from the first one that fails to parse as a `T` onward. A missing
+/// file is empty.
+pub(crate) fn load_records<T: Deserialize>(path: &Path) -> io::Result<(Vec<T>, usize)> {
+    let mut records = Vec::new();
+    let mut bodies = 0usize;
+    let mut parsing = true;
+    let Some(end) = visit_path(path, |_, body| {
+        bodies += 1;
+        if parsing {
+            match serde_json::from_str::<T>(body) {
+                Ok(record) => records.push(record),
+                Err(_) => parsing = false,
+            }
+        }
+    })?
+    else {
+        return Ok((Vec::new(), 0));
+    };
+    let dropped = bodies - records.len() + end.dropped;
+    Ok((records, dropped))
+}
+
+/// Scans raw stream bytes for the longest valid framed prefix, copying
+/// out its bodies (see [`visit_frames`] for the rules).
+pub fn scan_stream(bytes: &[u8]) -> StreamScan {
+    let mut bodies = Vec::new();
+    let end = visit_frames(bytes, |_, body| bodies.push(body.to_string()));
+    StreamScan::new(bodies, end)
 }
 
 /// Scans the framed stream at `path`; `Ok(None)` when the file is absent.
 pub fn scan_path(path: &Path) -> io::Result<Option<StreamScan>> {
-    match std::fs::read(path) {
-        Ok(bytes) => Ok(Some(scan_stream(&bytes))),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
+    let mut bodies = Vec::new();
+    let end = visit_path(path, |_, body| bodies.push(body.to_string()))?;
+    Ok(end.map(|end| StreamScan::new(bodies, end)))
 }
 
 // ---------------------------------------------------------------------------
@@ -739,7 +808,7 @@ impl FramedWriter {
     /// writer resumes at the next sequence number; a torn or corrupt
     /// tail is truncated away first.
     pub fn open(path: &Path, opts: SinkOptions) -> io::Result<Self> {
-        let scan = scan_path(path)?.unwrap_or_default();
+        let scan = visit_path(path, |_, _| {})?.unwrap_or_default();
         let file = FileIo::open(path)?;
         let mut io: Box<dyn RecordIo> = match &opts.harness {
             Some(h) => Box::new(FaultIo::new(file, Arc::clone(h))),

@@ -8,8 +8,8 @@
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
 
@@ -26,13 +26,17 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{content_hash, AnalysisCache, BinaryVerdict, CacheStats};
 use crate::config::PipelineConfig;
-use crate::durable::{scan_path, FramedWriter, IoHarness, IoState, SinkOptions, StreamKind};
+use crate::durable::{
+    load_records, visit_path, FramedWriter, IoHarness, IoState, SinkOptions, StreamKind,
+};
 use crate::profile::{SpanProfile, StragglerEntry, Watchdog};
 use crate::provenance::{AppProvenance, ProvenanceLedger};
 use crate::report::{MeasurementReport, SweepStats};
 use crate::scheduler::{idle_workers, virtual_makespan_us, Lane, Scheduler, WorkerStats};
 use crate::sweep::QuarantineEntry;
-use crate::telemetry::{HistogramSummary, MetricsSnapshot, Progress, Telemetry};
+use crate::telemetry::{
+    EventReadback, HistogramSummary, MetricsSnapshot, Progress, SpanRecord, Telemetry,
+};
 use crate::training;
 
 /// Outcome category of the dynamic phase (Table II rows).
@@ -371,37 +375,47 @@ impl Pipeline {
         corpus: &[SyntheticApp],
         journal: &crate::sweep::Journal,
     ) -> std::io::Result<MeasurementReport> {
-        // Stitch spans from the previous session — base stream plus any
-        // shard streams a killed multi-writer sweep left behind — before
-        // recovery merges the shards away.
+        let recover_start = self.telemetry.now_us();
+        let Recovered {
+            mut outcome,
+            readbacks,
+            segment_spans,
+        } = self.recover_streams(journal)?;
+        let recovered = outcome.records.len();
         if self.telemetry.is_enabled() {
-            let mut event_paths = vec![journal.events_path()];
-            event_paths.extend(
-                journal
-                    .discover_shards()
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(|k| journal.shard_events_path(k)),
-            );
-            let mut stitched = 0usize;
-            for path in &event_paths {
-                match self.telemetry.stitch_from(path) {
-                    Ok(n) => stitched += n,
-                    Err(e) => {
-                        eprintln!(
-                            "dydroid: failed to stitch events from {}: {e}",
-                            path.display()
-                        )
-                    }
-                }
-            }
+            // Stitch spans from the previous session — base stream, then
+            // any shard streams a killed multi-writer sweep left behind,
+            // in ascending shard order — from the event bodies recovery
+            // already parsed.
+            let stitched: usize = readbacks
+                .into_iter()
+                .map(|readback| self.telemetry.stitch(readback))
+                .sum();
             if stitched > 0 {
                 self.telemetry
                     .counter_add("telemetry.spans_stitched", stitched as u64);
             }
+            // Only now may recovery's own spans take ids: the stitched
+            // spans have moved the id counter past the prior session's.
+            // No event sink is open yet, so these spans stay in memory
+            // and add no writes to the harness op clock.
+            let recover_id = self.telemetry.record_span(SpanRecord {
+                id: 0,
+                parent: 0,
+                name: "recover".to_string(),
+                tid: self.telemetry.lane(),
+                start_us: recover_start,
+                dur_us: self.telemetry.now_us().saturating_sub(recover_start),
+                fields: vec![
+                    ("segments".to_string(), segment_spans.len().to_string()),
+                    ("records".to_string(), recovered.to_string()),
+                ],
+            });
+            for mut span in segment_spans {
+                span.parent = recover_id;
+                self.telemetry.record_span(span);
+            }
         }
-        let mut outcome = self.recover_all(journal)?;
-        let recovered = outcome.records.len();
         let ledger = self.ledger_for(Some(journal));
         let io_state = IoState::new(self.config.io_retry_budget);
         if self.telemetry.is_enabled() {
@@ -580,7 +594,10 @@ impl Pipeline {
     /// longest mutually consistent checkpoint prefix.
     ///
     /// Per stream, corrupt or torn frames are dropped (with a uniform
-    /// stderr warning) and the file is rewritten to its valid prefix.
+    /// stderr warning). The base journal and ledger are rewritten to the
+    /// merged consistent set where it differs from what they hold; shard
+    /// streams are merged into them and removed. Each segment (the base triplet or one shard's) is read
+    /// once, on up to [`PipelineConfig::effective_workers`] threads.
     /// An app then counts as recovered only when every active stream
     /// holds it: a journal record, a ledger graph (when provenance is
     /// on), and a `checkpoint` event (when telemetry wrote an event
@@ -596,33 +613,47 @@ impl Pipeline {
     /// quarantine sidecar; ledger and event-stream read failures degrade
     /// to warnings (their records are simply not recovered).
     pub fn recover_all(&self, journal: &crate::sweep::Journal) -> std::io::Result<RecoveryOutcome> {
+        Ok(self.recover_streams(journal)?.outcome)
+    }
+
+    /// [`Pipeline::recover_all`], also handing back what a resumed run
+    /// stitches into its timeline: each segment's event readback and
+    /// recovery span, in merge order.
+    fn recover_streams(&self, journal: &crate::sweep::Journal) -> std::io::Result<Recovered> {
         // The base triplet and every shard triplet a killed multi-writer
         // sweep left behind are reconciled with the same per-segment
         // rule: longest mutually consistent prefix of that segment's
         // journal, ledger, and checkpoint stream.
         let base_ledger = self.ledger_for(Some(journal));
-        let base = self.recover_segment(journal, base_ledger.as_ref(), &journal.events_path())?;
         let shard_ids = journal.discover_shards()?;
-        let mut shard_segments = Vec::with_capacity(shard_ids.len());
+        let mut segments = Vec::with_capacity(shard_ids.len() + 1);
+        segments.push(Segment {
+            shard: None,
+            journal: journal.clone(),
+            ledger: base_ledger.clone(),
+            events_path: journal.events_path(),
+        });
         for &k in &shard_ids {
-            let shard_journal = journal.shard(k);
-            let shard_ledger = self
-                .config
-                .provenance
-                .then(|| ProvenanceLedger::new(journal.shard_provenance_path(k)));
-            shard_segments.push(self.recover_segment(
-                &shard_journal,
-                shard_ledger.as_ref(),
-                &journal.shard_events_path(k),
-            )?);
+            segments.push(Segment {
+                shard: Some(k),
+                journal: journal.shard(k),
+                ledger: self
+                    .config
+                    .provenance
+                    .then(|| ProvenanceLedger::new(journal.shard_provenance_path(k))),
+                events_path: journal.shard_events_path(k),
+            });
         }
+        let recovered = self.recover_segments(&segments);
 
         // Merge: base records first, then shards in ascending shard
         // order, first record per package wins. Duplicates only arise
         // from a crash between the base finalize and shard removal,
-        // where both copies are identical.
-        let base_record_count = base.records.len();
-        let base_checkpoints = base.checkpoints.clone();
+        // where both copies are identical. The segments ran in
+        // parallel, but each one's result depends only on its own
+        // files, and the merge takes them in this fixed order.
+        let mut base_record_count = 0usize;
+        let mut base_checkpoints: Option<HashSet<String>> = None;
         let mut seen: HashSet<String> = HashSet::new();
         let mut consistent: Vec<AppRecord> = Vec::new();
         let mut provenance: Vec<AppProvenance> = Vec::new();
@@ -631,10 +662,28 @@ impl Pipeline {
         let mut ledger_dropped = 0usize;
         let mut events_dropped = 0usize;
         let mut base_journal_count = 0usize;
+        let (mut base_torn, mut base_ledger_torn) = (false, false);
         let mut prov_by_pkg: HashMap<String, AppProvenance> = HashMap::new();
-        for (idx, segment) in std::iter::once(base).chain(shard_segments).enumerate() {
+        let mut readbacks = Vec::new();
+        let mut segment_spans = Vec::new();
+        for (idx, segment) in recovered.into_iter().enumerate() {
+            let segment = segment?;
+            for warning in &segment.warnings {
+                eprintln!("{warning}");
+            }
+            if let Some(mut events) = segment.events {
+                let checkpoints = std::mem::take(&mut events.checkpoints);
+                if idx == 0 {
+                    base_checkpoints = Some(checkpoints);
+                }
+                readbacks.push(events);
+            }
+            segment_spans.extend(segment.span);
             if idx == 0 {
                 base_journal_count = segment.journal_count;
+                base_record_count = segment.records.len();
+                base_torn = segment.journal_dropped > 0;
+                base_ledger_torn = segment.ledger_dropped > 0;
             }
             journal_dropped += segment.journal_dropped;
             ledger_dropped += segment.ledger_dropped;
@@ -660,12 +709,15 @@ impl Pipeline {
 
         // Rewrite the base journal and ledger to the merged consistent
         // set so this session's appends extend files that agree with
-        // each other (and hold everything the shards contributed).
-        if consistent.len() != base_journal_count || shards_contributed {
+        // each other (and hold everything the shards contributed). A
+        // torn base file is rewritten too: segments only read, so this
+        // is where its dropped tail goes. Shard files are not rewritten;
+        // they are removed below.
+        if consistent.len() != base_journal_count || shards_contributed || base_torn {
             journal.rewrite(&consistent)?;
         }
         if let Some(ledger) = &base_ledger {
-            if !inconsistent.is_empty() || shards_contributed {
+            if !inconsistent.is_empty() || shards_contributed || base_ledger_torn {
                 if let Err(e) = ledger.rewrite(&provenance) {
                     eprintln!(
                         "dydroid: failed to rewrite ledger {}: {e}",
@@ -734,95 +786,133 @@ impl Pipeline {
             .map(|e| e.package.clone())
             .collect();
 
-        Ok(RecoveryOutcome {
-            records: consistent,
-            provenance,
-            journal_dropped,
-            ledger_dropped,
-            events_dropped,
-            inconsistent: inconsistent.into_iter().collect(),
-            quarantine,
-            quarantined,
+        Ok(Recovered {
+            outcome: RecoveryOutcome {
+                records: consistent,
+                provenance,
+                journal_dropped,
+                ledger_dropped,
+                events_dropped,
+                inconsistent: inconsistent.into_iter().collect(),
+                quarantine,
+                quarantined,
+            },
+            readbacks,
+            segment_spans,
         })
+    }
+
+    /// Recovers every segment, at most `effective_workers()` at a time,
+    /// and returns the results in `segments` order. A segment only reads
+    /// its own three files, through plain `std::fs`: nothing here writes
+    /// or goes through the I/O harness, so the order segments finish in
+    /// cannot change a byte or move the harness op clock.
+    fn recover_segments(&self, segments: &[Segment]) -> Vec<std::io::Result<SegmentRecovery>> {
+        let threads = self.config.effective_workers().min(segments.len());
+        if threads <= 1 {
+            return segments.iter().map(|s| self.recover_segment(s)).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let mut done: Vec<(usize, std::io::Result<SegmentRecovery>)> =
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut out = Vec::new();
+                            loop {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                let Some(segment) = segments.get(i) else {
+                                    return out;
+                                };
+                                out.push((i, self.recover_segment(segment)));
+                            }
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            });
+        done.sort_by_key(|(i, _)| *i);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 
     /// Reconciles one segment — a (journal, ledger, events) triplet,
     /// either the base streams or one shard's — to its longest mutually
-    /// consistent prefix. Pure read: rewrites happen at the merge layer.
-    fn recover_segment(
-        &self,
-        journal: &crate::sweep::Journal,
-        ledger: Option<&ProvenanceLedger>,
-        events_path: &Path,
-    ) -> std::io::Result<SegmentRecovery> {
-        let recovery = journal.recover_counted()?;
-        warn_recovered(
+    /// consistent prefix. Pure read, each file once: rewrites happen at
+    /// the merge layer. Warnings are returned rather than printed, so
+    /// they come out in segment order.
+    fn recover_segment(&self, segment: &Segment) -> std::io::Result<SegmentRecovery> {
+        let started = self.telemetry.now_us();
+        let mut warnings = Vec::new();
+        let (journal_records, journal_dropped) = load_records::<AppRecord>(segment.journal.path())?;
+        warnings.extend(dropped_warning(
             "journal",
-            journal.path(),
-            recovery.records.len(),
-            recovery.dropped_lines,
-        );
-        let journal_dropped = recovery.dropped_lines;
-        let journal_count = recovery.records.len();
+            segment.journal.path(),
+            journal_records.len(),
+            journal_dropped,
+        ));
+        let journal_count = journal_records.len();
 
         let mut ledger_records: Vec<AppProvenance> = Vec::new();
         let mut ledger_dropped = 0usize;
         let mut ledger_active = false;
-        if let Some(ledger) = ledger {
-            match ledger.recover_counted() {
-                Ok(r) => {
-                    warn_recovered("ledger", ledger.path(), r.records.len(), r.dropped_lines);
-                    ledger_dropped = r.dropped_lines;
-                    ledger_records = r.records;
+        if let Some(ledger) = &segment.ledger {
+            match load_records::<AppProvenance>(ledger.path()) {
+                Ok((records, dropped)) => {
+                    warnings.extend(dropped_warning(
+                        "ledger",
+                        ledger.path(),
+                        records.len(),
+                        dropped,
+                    ));
+                    ledger_dropped = dropped;
+                    ledger_records = records;
                     ledger_active = true;
                 }
-                Err(e) => eprintln!(
+                Err(e) => warnings.push(format!(
                     "dydroid: failed to recover ledger {}: {e}",
                     ledger.path().display()
-                ),
+                )),
             }
         }
 
         // The event stream constrains recovery only when telemetry is
         // enabled and a stream exists: each `checkpoint` event mirrors a
         // successful journal append, so a journal record without one
-        // belongs to the torn tail of the killed session.
+        // belongs to the torn tail of the killed session. The same pass
+        // gathers the spans a resumed run stitches.
         let mut events_dropped = 0usize;
-        let mut checkpoints: Option<HashSet<String>> = None;
+        let mut events: Option<EventReadback> = None;
         if self.telemetry.is_enabled() {
-            match scan_path(events_path) {
-                Ok(Some(scan)) => {
-                    warn_recovered("events", events_path, scan.bodies.len(), scan.dropped);
-                    events_dropped = scan.dropped;
-                    let mut set = HashSet::new();
-                    for body in &scan.bodies {
-                        let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
-                            continue;
-                        };
-                        if value.get("type").and_then(|t| t.as_str()) == Some("checkpoint") {
-                            if let Some(app) = value.get("app").and_then(|a| a.as_str()) {
-                                set.insert(app.to_string());
-                            }
-                        }
-                    }
-                    checkpoints = Some(set);
+            let events_path = &segment.events_path;
+            let mut readback = EventReadback::default();
+            match visit_path(events_path, |_, body| readback.read(body)) {
+                Ok(Some(end)) => {
+                    warnings.extend(dropped_warning(
+                        "events",
+                        events_path,
+                        end.next_seq as usize,
+                        end.dropped,
+                    ));
+                    events_dropped = end.dropped;
+                    events = Some(readback);
                 }
                 Ok(None) => {}
-                Err(e) => eprintln!(
+                Err(e) => warnings.push(format!(
                     "dydroid: failed to scan events {}: {e}",
                     events_path.display()
-                ),
+                )),
             }
         }
-
+        let checkpoints = events.as_ref().map(|e| &e.checkpoints);
         let ledgered: HashSet<&str> = ledger_records.iter().map(|p| p.package.as_str()).collect();
         let mut inconsistent: BTreeSet<String> = BTreeSet::new();
         let mut records: Vec<AppRecord> = Vec::new();
-        for record in recovery.records {
+        for record in journal_records {
             let in_ledger = !ledger_active || ledgered.contains(record.package.as_str());
-            let in_events = checkpoints
-                .as_ref()
-                .is_none_or(|c| c.contains(record.package.as_str()));
+            let in_events = checkpoints.is_none_or(|c| c.contains(record.package.as_str()));
             if in_ledger && in_events {
                 records.push(record);
             } else {
@@ -834,7 +924,7 @@ impl Pipeline {
         for p in ledger_records
             .iter()
             .map(|p| p.package.as_str())
-            .chain(checkpoints.iter().flatten().map(String::as_str))
+            .chain(checkpoints.into_iter().flatten().map(String::as_str))
         {
             if !consistent_set.contains(p) {
                 inconsistent.insert(p.to_string());
@@ -846,6 +936,28 @@ impl Pipeline {
             .collect();
         drop(consistent_set);
 
+        let span = self.telemetry.is_enabled().then(|| SpanRecord {
+            id: 0,
+            parent: 0,
+            name: "segment".to_string(),
+            tid: self.telemetry.lane(),
+            start_us: started,
+            dur_us: self.telemetry.now_us().saturating_sub(started),
+            fields: vec![
+                (
+                    "shard".to_string(),
+                    segment
+                        .shard
+                        .map_or_else(|| "base".to_string(), |k| k.to_string()),
+                ),
+                ("records".to_string(), records.len().to_string()),
+                (
+                    "dropped".to_string(),
+                    (journal_dropped + ledger_dropped + events_dropped).to_string(),
+                ),
+            ],
+        });
+
         Ok(SegmentRecovery {
             records,
             provenance,
@@ -854,7 +966,9 @@ impl Pipeline {
             events_dropped,
             inconsistent,
             journal_count,
-            checkpoints,
+            events,
+            warnings,
+            span,
         })
     }
 
@@ -2278,7 +2392,29 @@ struct SegmentRecovery {
     events_dropped: usize,
     inconsistent: BTreeSet<String>,
     journal_count: usize,
-    checkpoints: Option<HashSet<String>>,
+    /// The event stream read back, when telemetry is on and it exists.
+    events: Option<EventReadback>,
+    /// Stderr warnings, printed by the merge in segment order.
+    warnings: Vec<String>,
+    /// This segment's recovery span, without an id yet (telemetry on).
+    span: Option<SpanRecord>,
+}
+
+/// One (journal, ledger, events) triplet to reconcile: the base streams
+/// or one shard's.
+struct Segment {
+    shard: Option<usize>,
+    journal: crate::sweep::Journal,
+    ledger: Option<ProvenanceLedger>,
+    events_path: PathBuf,
+}
+
+/// [`RecoveryOutcome`] plus what [`Pipeline::run_resumable`] stitches
+/// into its timeline, per segment in merge order.
+struct Recovered {
+    outcome: RecoveryOutcome,
+    readbacks: Vec<EventReadback>,
+    segment_spans: Vec<SpanRecord>,
 }
 
 /// Marks of the monotonic avm telemetry counters taken at sweep start,
@@ -2299,14 +2435,14 @@ struct RecoverySummary {
     quarantined: Vec<String>,
 }
 
-/// Uniform stream-recovery warning, emitted only when frames were lost.
-fn warn_recovered(stream: &str, path: &Path, recovered: usize, dropped: usize) {
-    if dropped > 0 {
-        eprintln!(
+/// Uniform stream-recovery warning, only when frames were lost.
+fn dropped_warning(stream: &str, path: &Path, recovered: usize, dropped: usize) -> Option<String> {
+    (dropped > 0).then(|| {
+        format!(
             "dydroid: {stream} {}: recovered {recovered} record(s), dropped {dropped} corrupt frame(s)",
             path.display()
-        );
-    }
+        )
+    })
 }
 
 /// One line of the canonical (finalized) event stream: a bare per-app

@@ -31,9 +31,9 @@ use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
-use crate::durable::scan_path;
+use crate::durable::visit_path;
 use crate::sweep::Journal;
-use crate::telemetry::SpanRecord;
+use crate::telemetry::{EventReadback, SpanRecord};
 
 /// Parent-chain walk bound: a span nested deeper than this (impossible
 /// for well-formed streams; cycles only via corruption) is rooted where
@@ -125,19 +125,9 @@ impl SpanProfile {
     pub fn from_event_streams(paths: &[PathBuf]) -> io::Result<SpanProfile> {
         let mut spans = Vec::new();
         for path in paths {
-            let Some(scan) = scan_path(path)? else {
-                continue;
-            };
-            for body in &scan.bodies {
-                let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
-                    break;
-                };
-                if value.get("type").and_then(|t| t.as_str()) == Some("span") {
-                    if let Ok(record) = SpanRecord::from_json(&value) {
-                        spans.push(record);
-                    }
-                }
-            }
+            let mut readback = EventReadback::default();
+            visit_path(path, |_, body| readback.read(body))?;
+            spans.extend(readback.into_spans());
         }
         spans.sort_by_key(|s| (s.start_us, s.id));
         Ok(SpanProfile::from_spans(&spans))

@@ -29,7 +29,8 @@ use dydroid_avm::{DclEvent, DclKind, Event, EventLog, FileOp, FlowGraph, FlowNod
 use serde::{Deserialize, Serialize};
 
 use crate::durable::{
-    atomic_write_frames, encode_frames, scan_path, FramedWriter, IoHarness, SinkOptions, StreamKind,
+    atomic_write_frames, encode_frames, load_records, FramedWriter, IoHarness, SinkOptions,
+    StreamKind,
 };
 use crate::pipeline::{verdict_label, AppRecord, MalwareHit};
 
@@ -786,7 +787,7 @@ impl ProvenanceLedger {
     ///
     /// Returns I/O errors other than the file not existing.
     pub fn load(&self) -> io::Result<Vec<AppProvenance>> {
-        Ok(self.load_split()?.0)
+        Ok(load_records(&self.path)?.0)
     }
 
     /// Like [`ProvenanceLedger::load`], but truncates a torn or corrupt
@@ -797,7 +798,7 @@ impl ProvenanceLedger {
     ///
     /// Returns I/O errors from reading or rewriting the file.
     pub fn recover_counted(&self) -> io::Result<LedgerRecovery> {
-        let (records, dropped_lines) = self.load_split()?;
+        let (records, dropped_lines) = load_records(&self.path)?;
         if dropped_lines > 0 {
             self.rewrite(&records)?;
         }
@@ -815,20 +816,6 @@ impl ProvenanceLedger {
     /// Returns serialization or write errors.
     pub fn rewrite(&self, records: &[AppProvenance]) -> io::Result<()> {
         std::fs::write(&self.path, encode_frames(0, &ledger_bodies(records)?))
-    }
-
-    fn load_split(&self) -> io::Result<(Vec<AppProvenance>, usize)> {
-        let Some(scan) = scan_path(&self.path)? else {
-            return Ok((Vec::new(), 0));
-        };
-        let mut records = Vec::new();
-        for (i, body) in scan.bodies.iter().enumerate() {
-            match serde_json::from_str::<AppProvenance>(body) {
-                Ok(record) => records.push(record),
-                Err(_) => return Ok((records, scan.bodies.len() - i + scan.dropped)),
-            }
-        }
-        Ok((records, scan.dropped))
     }
 
     /// Opens the ledger for appending with stand-alone sink options,

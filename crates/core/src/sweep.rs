@@ -22,8 +22,8 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::durable::{
-    atomic_write_frames, encode_frames, scan_path, Appended, FramedWriter, IoHarness, SinkOptions,
-    StreamKind,
+    atomic_write_frames, encode_frames, load_records, Appended, FramedWriter, IoHarness,
+    SinkOptions, StreamKind,
 };
 use crate::pipeline::AppRecord;
 
@@ -205,7 +205,7 @@ impl Journal {
     ///
     /// Returns I/O errors other than the file not existing.
     pub fn load(&self) -> io::Result<Vec<AppRecord>> {
-        Ok(self.load_split()?.0)
+        Ok(load_records(&self.path)?.0)
     }
 
     /// Like [`Journal::load`], but when the file holds anything past the
@@ -228,7 +228,7 @@ impl Journal {
     ///
     /// Returns I/O errors from reading or rewriting the file.
     pub fn recover_counted(&self) -> io::Result<JournalRecovery> {
-        let (records, dropped_lines) = self.load_split()?;
+        let (records, dropped_lines) = load_records(&self.path)?;
         if dropped_lines > 0 {
             self.rewrite(&records)?;
         }
@@ -267,24 +267,6 @@ impl Journal {
         atomic_write_frames(&self.path, &bodies, harness)
     }
 
-    /// Valid leading records plus the number of frames/lines dropped
-    /// from the first defect onward (0 = the whole file scanned clean).
-    /// A frame whose body fails to parse as an [`AppRecord`] also ends
-    /// the load.
-    fn load_split(&self) -> io::Result<(Vec<AppRecord>, usize)> {
-        let Some(scan) = scan_path(&self.path)? else {
-            return Ok((Vec::new(), 0));
-        };
-        let mut records = Vec::new();
-        for (i, body) in scan.bodies.iter().enumerate() {
-            match serde_json::from_str::<AppRecord>(body) {
-                Ok(record) => records.push(record),
-                Err(_) => return Ok((records, scan.bodies.len() - i + scan.dropped)),
-            }
-        }
-        Ok((records, scan.dropped))
-    }
-
     /// Opens the journal for appending with stand-alone sink options
     /// (default sync policy, no fault injection), creating the file if
     /// needed and truncating any torn tail so the sequence continues
@@ -316,17 +298,7 @@ impl Journal {
     ///
     /// Returns I/O errors other than the file not existing.
     pub fn load_quarantine(&self) -> io::Result<Vec<QuarantineEntry>> {
-        let Some(scan) = scan_path(&self.quarantine_path())? else {
-            return Ok(Vec::new());
-        };
-        let mut entries = Vec::new();
-        for body in &scan.bodies {
-            match serde_json::from_str::<QuarantineEntry>(body) {
-                Ok(entry) => entries.push(entry),
-                Err(_) => break,
-            }
-        }
-        Ok(entries)
+        Ok(load_records(&self.quarantine_path())?.0)
     }
 
     /// Rewrites the quarantine file to exactly `entries` (sorted by

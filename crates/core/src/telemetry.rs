@@ -26,7 +26,7 @@
 //! allocation, no clock read, no atomics.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use crate::durable::{
-    atomic_write_frames, scan_path, FramedWriter, IoHarness, SinkOptions, StreamKind,
+    atomic_write_frames, visit_path, FramedWriter, IoHarness, SinkOptions, StreamKind,
 };
 
 use serde::{Deserialize, Serialize};
@@ -395,6 +395,60 @@ pub struct SpanRecord {
     pub fields: Vec<(String, String)>,
 }
 
+/// What one previous-session event stream holds for a resumed run,
+/// gathered in a single pass over its bodies: the spans to stitch and
+/// the apps it checkpointed.
+#[derive(Debug, Default)]
+pub(crate) struct EventReadback {
+    /// Span lines of the stitchable prefix, in stream order.
+    spans: Vec<SpanRecord>,
+    /// Highest span id any line of the stitchable prefix names.
+    max_span_id: u64,
+    /// Apps with a `checkpoint` line anywhere in the stream.
+    pub(crate) checkpoints: HashSet<String>,
+    /// Set by the first body that is not JSON: the timeline stops
+    /// there, while the checkpoint set takes every later line too.
+    stitch_ended: bool,
+}
+
+impl EventReadback {
+    /// Takes one frame body: parses it once and files what it says.
+    pub(crate) fn read(&mut self, body: &str) {
+        let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
+            self.stitch_ended = true;
+            return;
+        };
+        let kind = value.get("type").and_then(|t| t.as_str());
+        if kind == Some("checkpoint") {
+            if let Some(app) = value.get("app").and_then(|a| a.as_str()) {
+                self.checkpoints.insert(app.to_string());
+            }
+        }
+        if self.stitch_ended {
+            return;
+        }
+        match kind {
+            Some("span") => {
+                if let Ok(record) = SpanRecord::from_json(&value) {
+                    self.max_span_id = self.max_span_id.max(record.id);
+                    self.spans.push(record);
+                }
+            }
+            Some("checkpoint" | "provenance") => {
+                if let Some(id) = value.get("span").and_then(|s| s.as_u64()) {
+                    self.max_span_id = self.max_span_id.max(id);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The span lines read so far, for offline replay.
+    pub(crate) fn into_spans(self) -> Vec<SpanRecord> {
+        self.spans
+    }
+}
+
 /// Total spans retained in memory before new ones are counted as
 /// dropped (they still reach the JSONL sink and the histograms).
 const MAX_SPANS: usize = 1 << 20;
@@ -523,6 +577,12 @@ impl Inner {
 
     fn finish_span(&self, mut record: SpanRecord) {
         record.dur_us = self.now_us().saturating_sub(record.start_us);
+        self.commit_span(record);
+    }
+
+    /// Records a finished span: its latency histogram, its event line
+    /// (when a sink is open) and the in-memory store.
+    fn commit_span(&self, record: SpanRecord) {
         self.registry
             .record(&format!("span.{}.us", record.name), record.dur_us);
         let mut pairs = vec![("type".to_string(), serde::Value::Str("span".to_string()))];
@@ -800,33 +860,56 @@ impl Telemetry {
     /// Returns the number of spans stitched; the first torn or corrupt
     /// frame stops the read (same tolerance as the journal).
     pub fn stitch_from(&self, path: &Path) -> io::Result<usize> {
-        let Some(inner) = &self.inner else {
+        if !self.is_enabled() {
             return Ok(0);
-        };
-        let Some(scan) = scan_path(path)? else {
-            return Ok(0);
-        };
-        let mut loaded = 0usize;
-        let mut max_id = 0u64;
-        for body in &scan.bodies {
-            let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
-                break;
-            };
-            let kind = value.get("type").and_then(|t| t.as_str());
-            if kind == Some("span") {
-                if let Ok(record) = SpanRecord::from_json(&value) {
-                    max_id = max_id.max(record.id);
-                    inner.store_span(record);
-                    loaded += 1;
-                }
-            } else if kind == Some("checkpoint") || kind == Some("provenance") {
-                if let Some(id) = value.get("span").and_then(|s| s.as_u64()) {
-                    max_id = max_id.max(id);
-                }
-            }
         }
-        inner.next_span.fetch_max(max_id + 1, Ordering::Relaxed);
-        Ok(loaded)
+        let mut readback = EventReadback::default();
+        visit_path(path, |_, body| readback.read(body))?;
+        Ok(self.stitch(readback))
+    }
+
+    /// Stitches the spans of one stream's [`EventReadback`] into the
+    /// timeline (see [`Telemetry::stitch_from`]); returns how many.
+    pub(crate) fn stitch(&self, readback: EventReadback) -> usize {
+        let Some(inner) = &self.inner else {
+            return 0;
+        };
+        let loaded = readback.spans.len();
+        for record in readback.spans {
+            inner.store_span(record);
+        }
+        inner
+            .next_span
+            .fetch_max(readback.max_span_id + 1, Ordering::Relaxed);
+        loaded
+    }
+
+    /// Microseconds since the telemetry epoch (0 when disabled): the
+    /// clock every span's `start_us` is on.
+    pub(crate) fn now_us(&self) -> u64 {
+        self.inner.as_ref().map_or(0, |i| i.now_us())
+    }
+
+    /// The calling thread's worker lane, as a span's `tid`.
+    pub(crate) fn lane(&self) -> u64 {
+        thread_lane()
+    }
+
+    /// Records a span measured before its id could be handed out: it
+    /// gets the next id, replacing `record.id`, and is committed like a
+    /// dropped [`SpanGuard`]'s span. Returns the id (0 when disabled).
+    ///
+    /// Resume recovery times its spans while it reads the previous
+    /// session's events, and only then may it take ids: the stitched
+    /// spans must first move the id counter past theirs.
+    pub(crate) fn record_span(&self, mut record: SpanRecord) -> u64 {
+        let Some(inner) = &self.inner else {
+            return 0;
+        };
+        record.id = inner.next_span.fetch_add(1, Ordering::Relaxed);
+        let id = record.id;
+        inner.commit_span(record);
+        id
     }
 
     /// Writes all retained spans as Chrome `trace_event` JSON, loadable
@@ -1293,7 +1376,7 @@ mod tests {
         drop(t);
 
         let read = |p: &Path| {
-            scan_path(p)
+            crate::durable::scan_path(p)
                 .expect("scan")
                 .map_or_else(Vec::new, |s| s.bodies)
         };

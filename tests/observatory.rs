@@ -154,6 +154,20 @@ fn killed_sweep_replay_matches_stitched_spans() {
         assert!(!stack.is_empty());
         self_us.parse::<u64>().expect("self-time is integral µs");
     }
+    // Recovery has its own span, with one `segment` child per recovered
+    // (journal, ledger, events) triplet, and its ids are taken after the
+    // stitched prior session's, so no id repeats.
+    assert!(
+        artifact.lines().any(|l| l.starts_with("recover ")),
+        "no recover span in the profile:\n{artifact}"
+    );
+    assert!(
+        artifact.lines().any(|l| l.starts_with("recover;segment ")),
+        "no recover;segment span in the profile:\n{artifact}"
+    );
+    let spans = second.telemetry().spans();
+    let ids: HashSet<u64> = spans.iter().map(|s| s.id).collect();
+    assert_eq!(ids.len(), spans.len(), "span ids repeat after the resume");
 
     let _ = std::fs::remove_file(&profile_out);
     journal.reset().expect("cleanup");
