@@ -397,8 +397,6 @@ impl Pipeline {
             }
             // Only now may recovery's own spans take ids: the stitched
             // spans have moved the id counter past the prior session's.
-            // No event sink is open yet, so these spans stay in memory
-            // and add no writes to the harness op clock.
             let recover_id = self.telemetry.record_span(SpanRecord {
                 id: 0,
                 parent: 0,

@@ -577,12 +577,6 @@ impl Inner {
 
     fn finish_span(&self, mut record: SpanRecord) {
         record.dur_us = self.now_us().saturating_sub(record.start_us);
-        self.commit_span(record);
-    }
-
-    /// Records a finished span: its latency histogram, its event line
-    /// (when a sink is open) and the in-memory store.
-    fn commit_span(&self, record: SpanRecord) {
         self.registry
             .record(&format!("span.{}.us", record.name), record.dur_us);
         let mut pairs = vec![("type".to_string(), serde::Value::Str("span".to_string()))];
@@ -895,20 +889,24 @@ impl Telemetry {
         thread_lane()
     }
 
-    /// Records a span measured before its id could be handed out: it
-    /// gets the next id, replacing `record.id`, and is committed like a
-    /// dropped [`SpanGuard`]'s span. Returns the id (0 when disabled).
+    /// Stores a span measured before its id could be handed out: it
+    /// gets the next id, replacing `record.id`. Returns the id (0 when
+    /// disabled).
     ///
     /// Resume recovery times its spans while it reads the previous
     /// session's events, and only then may it take ids: the stitched
-    /// spans must first move the id counter past theirs.
+    /// spans must first move the id counter past theirs. Such a span
+    /// goes to the in-memory store only, for the profile and the trace
+    /// export, like a stitched one: no event line (which would add a
+    /// write to the I/O harness op clock) and no latency histogram
+    /// (which every metrics snapshot would carry from then on).
     pub(crate) fn record_span(&self, mut record: SpanRecord) -> u64 {
         let Some(inner) = &self.inner else {
             return 0;
         };
         record.id = inner.next_span.fetch_add(1, Ordering::Relaxed);
         let id = record.id;
-        inner.commit_span(record);
+        inner.store_span(record);
         id
     }
 
