@@ -382,33 +382,30 @@ impl Pipeline {
             segment_spans,
         } = self.recover_streams(journal)?;
         let recovered = outcome.records.len();
-        if self.telemetry.is_enabled() {
-            // Stitch spans from the previous session — base stream, then
-            // any shard streams a killed multi-writer sweep left behind,
-            // in ascending shard order — from the event bodies recovery
-            // already parsed.
-            let stitched: usize = readbacks
-                .into_iter()
-                .map(|readback| self.telemetry.stitch(readback))
-                .sum();
-            if stitched > 0 {
-                self.telemetry
-                    .counter_add("telemetry.spans_stitched", stitched as u64);
-            }
-            // Only now may recovery's own spans take ids: the stitched
-            // spans have moved the id counter past the prior session's.
-            let recover_id = self.telemetry.record_span(SpanRecord {
-                id: 0,
-                parent: 0,
-                name: "recover".to_string(),
-                tid: self.telemetry.lane(),
-                start_us: recover_start,
-                dur_us: self.telemetry.now_us().saturating_sub(recover_start),
-                fields: vec![
-                    ("segments".to_string(), segment_spans.len().to_string()),
-                    ("records".to_string(), recovered.to_string()),
-                ],
-            });
+        // Stitch spans from the previous session — base stream, then any
+        // shard streams a killed multi-writer sweep left behind, in
+        // ascending shard order — from the event bodies recovery already
+        // parsed.
+        let stitched: usize = readbacks
+            .into_iter()
+            .map(|readback| self.telemetry.stitch(readback))
+            .sum();
+        if stitched > 0 {
+            self.telemetry
+                .counter_add("telemetry.spans_stitched", stitched as u64);
+        }
+        // Only now may recovery's own spans take ids: the stitched spans
+        // have moved the id counter past the prior session's.
+        let recover_span = self.telemetry.span_since(
+            "recover",
+            recover_start,
+            vec![
+                ("segments", segment_spans.len().to_string()),
+                ("records", recovered.to_string()),
+            ],
+        );
+        if let Some(span) = recover_span {
+            let recover_id = self.telemetry.record_span(span);
             for mut span in segment_spans {
                 span.parent = recover_id;
                 self.telemetry.record_span(span);
@@ -934,27 +931,21 @@ impl Pipeline {
             .collect();
         drop(consistent_set);
 
-        let span = self.telemetry.is_enabled().then(|| SpanRecord {
-            id: 0,
-            parent: 0,
-            name: "segment".to_string(),
-            tid: self.telemetry.lane(),
-            start_us: started,
-            dur_us: self.telemetry.now_us().saturating_sub(started),
-            fields: vec![
+        let span = self.telemetry.span_since(
+            "segment",
+            started,
+            vec![
                 (
-                    "shard".to_string(),
-                    segment
-                        .shard
-                        .map_or_else(|| "base".to_string(), |k| k.to_string()),
+                    "shard",
+                    segment.shard.map_or("base".to_string(), |k| k.to_string()),
                 ),
-                ("records".to_string(), records.len().to_string()),
+                ("records", records.len().to_string()),
                 (
-                    "dropped".to_string(),
+                    "dropped",
                     (journal_dropped + ledger_dropped + events_dropped).to_string(),
                 ),
             ],
-        });
+        );
 
         Ok(SegmentRecovery {
             records,

@@ -884,9 +884,28 @@ impl Telemetry {
         self.inner.as_ref().map_or(0, |i| i.now_us())
     }
 
-    /// The calling thread's worker lane, as a span's `tid`.
-    pub(crate) fn lane(&self) -> u64 {
-        thread_lane()
+    /// A span that ran from `start_us` until now on the calling thread,
+    /// without an id or parent yet (see [`Telemetry::record_span`]);
+    /// `None` when disabled.
+    pub(crate) fn span_since(
+        &self,
+        name: &str,
+        start_us: u64,
+        fields: Vec<(&str, String)>,
+    ) -> Option<SpanRecord> {
+        let inner = self.inner.as_ref()?;
+        Some(SpanRecord {
+            id: 0,
+            parent: 0,
+            name: name.to_string(),
+            tid: thread_lane(),
+            start_us,
+            dur_us: inner.now_us().saturating_sub(start_us),
+            fields: fields
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        })
     }
 
     /// Stores a span measured before its id could be handed out: it
