@@ -9,7 +9,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
 
@@ -797,40 +797,31 @@ impl Pipeline {
         })
     }
 
-    /// Recovers every segment, at most `effective_workers()` at a time,
-    /// and returns the results in `segments` order. A segment only reads
-    /// its own three files, through plain `std::fs`: nothing here writes
-    /// or goes through the I/O harness, so the order segments finish in
-    /// cannot change a byte or move the harness op clock.
+    /// Recovers every segment on up to `effective_workers()` threads, one
+    /// contiguous chunk of `segments` each, and returns the results in
+    /// `segments` order. A segment only reads its own three files,
+    /// through plain `std::fs`: nothing here writes or goes through the
+    /// I/O harness, so the order segments finish in cannot change a byte
+    /// or move the harness op clock.
     fn recover_segments(&self, segments: &[Segment]) -> Vec<std::io::Result<SegmentRecovery>> {
-        let threads = self.config.effective_workers().min(segments.len());
-        if threads <= 1 {
-            return segments.iter().map(|s| self.recover_segment(s)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut done: Vec<(usize, std::io::Result<SegmentRecovery>)> =
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(segment) = segments.get(i) else {
-                                    return out;
-                                };
-                                out.push((i, self.recover_segment(segment)));
-                            }
-                        })
+        let threads = self.config.effective_workers().min(segments.len()).max(1);
+        let chunk = segments.len().div_ceil(threads).max(1);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = segments
+                .chunks(chunk)
+                .map(|part| {
+                    scope.spawn(move || {
+                        part.iter()
+                            .map(|s| self.recover_segment(s))
+                            .collect::<Vec<_>>()
                     })
-                    .collect();
-                workers
-                    .into_iter()
-                    .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            });
-        done.sort_by_key(|(i, _)| *i);
-        done.into_iter().map(|(_, result)| result).collect()
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
     }
 
     /// Reconciles one segment — a (journal, ledger, events) triplet,
