@@ -760,15 +760,6 @@ pub struct ProvenanceLedger {
     path: PathBuf,
 }
 
-/// Outcome of [`ProvenanceLedger::recover_counted`].
-#[derive(Debug, Clone)]
-pub struct LedgerRecovery {
-    /// Every record in the valid framed prefix before the first defect.
-    pub records: Vec<AppProvenance>,
-    /// Frames/lines discarded from the first defect onward.
-    pub dropped_lines: usize,
-}
-
 impl ProvenanceLedger {
     /// A ledger at `path`; the file need not exist yet.
     pub fn new(path: impl Into<PathBuf>) -> Self {
@@ -788,24 +779,6 @@ impl ProvenanceLedger {
     /// Returns I/O errors other than the file not existing.
     pub fn load(&self) -> io::Result<Vec<AppProvenance>> {
         Ok(load_records(&self.path)?.0)
-    }
-
-    /// Like [`ProvenanceLedger::load`], but truncates a torn or corrupt
-    /// tail so later appends extend a clean contiguous stream, and
-    /// reports the dropped count.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from reading or rewriting the file.
-    pub fn recover_counted(&self) -> io::Result<LedgerRecovery> {
-        let (records, dropped_lines) = load_records(&self.path)?;
-        if dropped_lines > 0 {
-            self.rewrite(&records)?;
-        }
-        Ok(LedgerRecovery {
-            records,
-            dropped_lines,
-        })
     }
 
     /// Rewrites the ledger to exactly `records`, reframed from
@@ -1109,14 +1082,14 @@ mod tests {
         // Span id must not leak into the serialized line.
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(!text.contains("\"span\""));
-        // Torn tail tolerated and truncated by recovery.
+        // Torn tail tolerated and counted.
         let mut torn = text.clone();
         torn.push_str("{\"package\":\"com.torn\",\"verd");
         std::fs::write(&path, torn).unwrap();
-        let recovery = ledger.recover_counted().unwrap();
-        assert_eq!(recovery.records.len(), 1);
-        assert_eq!(recovery.dropped_lines, 1);
-        assert_eq!(recovery.records[0], prov);
+        let (records, dropped) = load_records::<AppProvenance>(&path).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(dropped, 1);
+        assert_eq!(records[0], prov);
         // Finalize rewrites deterministically.
         ledger.finalize(std::slice::from_ref(&prov)).unwrap();
         let finalized = std::fs::read_to_string(&path).unwrap();

@@ -208,36 +208,6 @@ impl Journal {
         Ok(load_records(&self.path)?.0)
     }
 
-    /// Like [`Journal::load`], but when the file holds anything past the
-    /// valid prefix, rewrites it to exactly the surviving records first —
-    /// so appends after a resume extend a clean, contiguous stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from reading or rewriting the file.
-    pub fn recover(&self) -> io::Result<Vec<AppRecord>> {
-        Ok(self.recover_counted()?.records)
-    }
-
-    /// Like [`Journal::recover`], but also reports how many corrupt
-    /// frames were dropped — recovery must never discard data silently.
-    /// The pipeline surfaces the count as a telemetry counter and a
-    /// stderr warning.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from reading or rewriting the file.
-    pub fn recover_counted(&self) -> io::Result<JournalRecovery> {
-        let (records, dropped_lines) = load_records(&self.path)?;
-        if dropped_lines > 0 {
-            self.rewrite(&records)?;
-        }
-        Ok(JournalRecovery {
-            records,
-            dropped_lines,
-        })
-    }
-
     /// Rewrites the journal to exactly `records`, reframed from
     /// sequence 0 (plain write; for recovery paths).
     ///
@@ -370,16 +340,6 @@ fn record_bodies(records: &[AppRecord]) -> io::Result<Vec<String>> {
         .collect()
 }
 
-/// Outcome of [`Journal::recover_counted`]: the surviving records and
-/// the number of corrupt frames dropped.
-#[derive(Debug, Clone)]
-pub struct JournalRecovery {
-    /// Every record in the valid prefix before the first defect.
-    pub records: Vec<AppRecord>,
-    /// Frames/lines discarded from the first defect onward.
-    pub dropped_lines: usize,
-}
-
 /// One quarantine entry: an app observed in-flight at a crash, with how
 /// many resumes it has interrupted so far.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -510,9 +470,11 @@ mod tests {
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("{\"package\":\"com.torn\",\"metad");
         std::fs::write(&path, text).unwrap();
-        assert_eq!(journal.recover().unwrap().len(), 1);
-        // Appends after recovery land on a clean file, so a full reload
-        // sees both records.
+        // Recovery rewrites a torn journal to its valid prefix, so appends
+        // after it land on a clean file and a full reload sees both records.
+        let survivors = journal.load().unwrap();
+        assert_eq!(survivors.len(), 1);
+        journal.rewrite(&survivors).unwrap();
         journal
             .writer()
             .unwrap()
@@ -534,18 +496,18 @@ mod tests {
             w.append(&record("com.whole")).unwrap();
         }
         // A clean journal recovers with zero drops.
-        let clean = journal.recover_counted().unwrap();
-        assert_eq!(clean.records.len(), 1);
-        assert_eq!(clean.dropped_lines, 0);
+        let (clean, dropped) = load_records::<AppRecord>(&path).unwrap();
+        assert_eq!(clean.len(), 1);
+        assert_eq!(dropped, 0);
         // Corrupt middle line: it and everything after it is dropped
         // and counted.
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("{\"package\":\"com.torn\",\"metad\n");
         text.push_str("not json either\n");
         std::fs::write(&path, text).unwrap();
-        let recovered = journal.recover_counted().unwrap();
-        assert_eq!(recovered.records.len(), 1);
-        assert_eq!(recovered.dropped_lines, 2);
+        let (recovered, dropped) = load_records::<AppRecord>(&path).unwrap();
+        assert_eq!(recovered.len(), 1);
+        assert_eq!(dropped, 2);
         journal.reset().unwrap();
     }
 
@@ -564,10 +526,10 @@ mod tests {
         let target = bytes.len() - 20;
         bytes[target] ^= 0b0000_0100;
         std::fs::write(&path, &bytes).unwrap();
-        let recovered = journal.recover_counted().unwrap();
-        assert_eq!(recovered.records.len(), 1, "corrupt record must drop");
-        assert_eq!(recovered.records[0].package, "com.a");
-        assert_eq!(recovered.dropped_lines, 1);
+        let (recovered, dropped) = load_records::<AppRecord>(&path).unwrap();
+        assert_eq!(recovered.len(), 1, "corrupt record must drop");
+        assert_eq!(recovered[0].package, "com.a");
+        assert_eq!(dropped, 1);
         journal.reset().unwrap();
     }
 
