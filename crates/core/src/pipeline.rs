@@ -804,8 +804,10 @@ impl Pipeline {
     /// I/O harness, so the order segments finish in cannot change a byte
     /// or move the harness op clock.
     fn recover_segments(&self, segments: &[Segment]) -> Vec<std::io::Result<SegmentRecovery>> {
-        let threads = self.config.effective_workers().min(segments.len()).max(1);
-        let chunk = segments.len().div_ceil(threads).max(1);
+        let chunk = segments
+            .len()
+            .div_ceil(self.config.effective_workers())
+            .max(1);
         std::thread::scope(|scope| {
             let workers: Vec<_> = segments
                 .chunks(chunk)
