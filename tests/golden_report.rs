@@ -7,6 +7,13 @@
 //! shape `e2ebench::tables_json` renders), hashed with FNV-1a-64 plus
 //! its size. An intended change to the report regenerates the digests
 //! with `e2ebench digests` and says why in CHANGES.md.
+//!
+//! The journaled cases also pin the finalized stream bytes: the
+//! journal, provenance ledger and canonical event stream a completed
+//! default-seed sweep leaves behind must hash to the entries in
+//! `tests/golden_streams.json`, however the sweep was interleaved or
+//! interrupted. An intended change to a stream's encoding regenerates
+//! that file from the assertion message and says why in CHANGES.md.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -16,6 +23,7 @@ use dydroid_workload::{generate, CorpusSpec, SyntheticApp};
 use serde_json::Value;
 
 const DIGESTS: &str = include_str!("../e2ebench/digests.json");
+const STREAM_DIGESTS: &str = include_str!("golden_streams.json");
 
 fn digests() -> Value {
     serde_json::from_str(DIGESTS).expect("digests.json parses")
@@ -45,6 +53,48 @@ fn fnv64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
+}
+
+/// FNV-1a-64 (hex) and size of one finalized stream file.
+fn file_digest(path: &std::path::Path) -> (String, u64) {
+    let bytes = std::fs::read(path)
+        .unwrap_or_else(|e| panic!("read finalized stream {}: {e}", path.display()));
+    (format!("{:016x}", fnv64(&bytes)), bytes.len() as u64)
+}
+
+/// Checks the finalized journal, ledger and event stream beside
+/// `journal` against `tests/golden_streams.json`.
+fn assert_golden_streams(journal: &Journal, case: &str) {
+    let committed: Value =
+        serde_json::from_str(STREAM_DIGESTS).expect("golden_streams.json parses");
+    let streams = [
+        ("journal", journal.path().to_path_buf()),
+        ("ledger", journal.provenance_path()),
+        ("events", journal.events_path()),
+    ];
+    let actual: Vec<(&str, (String, u64))> = streams
+        .iter()
+        .map(|(name, path)| (*name, file_digest(path)))
+        .collect();
+    let rendered = actual
+        .iter()
+        .map(|(name, (fnv, bytes))| {
+            format!("  \"{name}\": {{ \"fnv64\": \"{fnv}\", \"bytes\": {bytes} }}")
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    for (name, (fnv, bytes)) in &actual {
+        let entry = &committed[*name];
+        assert_eq!(
+            (fnv.as_str(), *bytes),
+            (
+                entry["fnv64"].as_str().expect("fnv64"),
+                entry["bytes"].as_u64().expect("bytes")
+            ),
+            "{case}: finalized {name} stream drifted from tests/golden_streams.json; \
+             this run's streams are:\n{{\n{rendered}\n}}"
+        );
+    }
 }
 
 fn corpus(seed: u64) -> Vec<SyntheticApp> {
@@ -117,6 +167,7 @@ fn default_seed_journaled_matches_committed_digest() {
     let report = Pipeline::new(config(1))
         .run_resumable(&corpus(seed), &journal)
         .expect("journaled sweep");
+    assert_golden_streams(&journal, "journaled");
     let _ = std::fs::remove_dir_all(&dir);
     assert_golden(&report, seed);
 }
@@ -154,6 +205,7 @@ fn default_seed_resumed_after_crash_matches_committed_digest() {
     let report = Pipeline::new(config(2))
         .run_resumable(&corpus, &journal)
         .expect("resumed sweep");
+    assert_golden_streams(&journal, "resumed after crash");
     let _ = std::fs::remove_dir_all(&dir);
     assert!(!shards.is_empty(), "the killed sweep left no shard streams");
     assert!(
