@@ -31,32 +31,48 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use dydroid_workload::faults::{retry_jitter, IoFaultKind, IoFaultScript};
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, table-driven)
+// CRC32 (IEEE 802.3 polynomial, slicing-by-8)
 // ---------------------------------------------------------------------------
 
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table,
+/// and `CRC_TABLES[k][b]` is the CRC state after byte `b` followed by
+/// `k` zero bytes, so eight table lookups advance the CRC by eight bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC32 checksum (IEEE 802.3 reflected polynomial) of `bytes`.
@@ -64,10 +80,23 @@ fn crc_table() -> &'static [u32; 256] {
 /// Because the polynomial is not of the form `x^j`, CRC32 detects every
 /// single-bit error — the property the bit-flip proptests lean on.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc_table();
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -113,24 +142,55 @@ impl fmt::Display for FrameDefect {
     }
 }
 
+/// Envelope bytes a frame adds to its body, at most: the four keys, the
+/// three header numbers at their widest, and the closing `}\n`.
+const FRAME_OVERHEAD: usize = 81;
+
+/// Appends one framed record line (with trailing `\n`) to `out`.
+fn push_frame(out: &mut String, seq: u64, body: &str) {
+    debug_assert!(!body.contains('\n'), "frame bodies must be single-line");
+    out.push_str("{\"seq\":");
+    seq.write_json(out);
+    out.push_str(",\"len\":");
+    body.len().write_json(out);
+    out.push_str(",\"crc\":");
+    crc32(body.as_bytes()).write_json(out);
+    out.push_str(",\"body\":");
+    out.push_str(body);
+    out.push_str("}\n");
+}
+
 /// Encodes one body line into a framed record line (with trailing `\n`).
 ///
 /// The body must be single-line JSON; the envelope embeds it verbatim so
 /// the frame itself stays valid JSON.
 pub fn encode_frame(seq: u64, body: &str) -> String {
-    debug_assert!(!body.contains('\n'), "frame bodies must be single-line");
-    format!(
-        "{{\"seq\":{seq},\"len\":{len},\"crc\":{crc},\"body\":{body}}}\n",
-        len = body.len(),
-        crc = crc32(body.as_bytes()),
-    )
+    let mut out = String::with_capacity(body.len() + FRAME_OVERHEAD);
+    push_frame(&mut out, seq, body);
+    out
 }
 
 /// Encodes a batch of bodies as consecutive frames starting at `start_seq`.
 pub fn encode_frames(start_seq: u64, bodies: &[String]) -> String {
-    let mut out = String::new();
+    let total: usize = bodies.iter().map(|b| b.len() + FRAME_OVERHEAD).sum();
+    let mut out = String::with_capacity(total);
     for (i, body) in bodies.iter().enumerate() {
-        out.push_str(&encode_frame(start_seq + i as u64, body));
+        push_frame(&mut out, start_seq + i as u64, body);
+    }
+    out
+}
+
+/// Serializes `records` and frames them from sequence 0: the whole text
+/// of a finalized or rewritten stream. Each body is written into one
+/// reused buffer, then framed straight into the output.
+pub fn encode_records<T: Serialize>(records: &[T]) -> String {
+    let mut out = String::new();
+    let mut body = String::new();
+    for (seq, record) in records.iter().enumerate() {
+        body.clear();
+        record.write_json(&mut body);
+        out.reserve(body.len() + FRAME_OVERHEAD);
+        push_frame(&mut out, seq as u64, &body);
     }
     out
 }
@@ -901,18 +961,18 @@ impl FramedWriter {
 // Atomic finalize
 // ---------------------------------------------------------------------------
 
-/// Atomically replaces `path` with `bodies` framed from sequence 0:
-/// writes a temp file beside the target and renames it into place, so a
-/// crash or fault at any boundary leaves either the old bytes or the new
-/// bytes — never a blend. Routed through `harness` when present (a
+/// Atomically replaces `path` with `text`, a whole framed stream (from
+/// [`encode_records`] or [`encode_frames`]): writes a temp file beside
+/// the target and renames it into place, so a crash or fault at any
+/// boundary leaves either the old bytes or the new bytes — never a
+/// blend. Routed through `harness` when present as one write op (a
 /// crashed harness freezes the old file; an injected fault aborts the
 /// rewrite with the old file intact).
 pub fn atomic_write_frames(
     path: &Path,
-    bodies: &[String],
+    mut text: String,
     harness: Option<&Arc<IoHarness>>,
 ) -> io::Result<()> {
-    let mut text = encode_frames(0, bodies);
     if let Some(h) = harness {
         let op = h.next_op();
         if h.crashed() {
@@ -987,6 +1047,32 @@ mod tests {
                 .and_then(|p| p.as_str()),
             Some("com.a")
         );
+    }
+
+    #[test]
+    fn encode_records_frames_each_serialized_record() {
+        let records = vec![
+            QuarantineLike {
+                package: "com.a".to_string(),
+                attempts: 1,
+            },
+            QuarantineLike {
+                package: "com.\"b\"".to_string(),
+                attempts: 2,
+            },
+        ];
+        let bodies: Vec<String> = records
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap())
+            .collect();
+        assert_eq!(encode_records(&records), encode_frames(0, &bodies));
+        assert_eq!(encode_records::<QuarantineLike>(&[]), "");
+    }
+
+    #[derive(Serialize)]
+    struct QuarantineLike {
+        package: String,
+        attempts: u32,
     }
 
     #[test]
@@ -1255,18 +1341,18 @@ mod tests {
         let path = temp_path("atomic");
         let _ = std::fs::remove_file(&path);
         let old = vec!["{\"v\":1}".to_string()];
-        atomic_write_frames(&path, &old, None).unwrap();
+        atomic_write_frames(&path, encode_frames(0, &old), None).unwrap();
         let old_bytes = std::fs::read(&path).unwrap();
 
         // A crash scheduled on the rewrite op leaves the old bytes.
         let harness = IoHarness::new(Some(0), None);
         let new = vec!["{\"v\":2}".to_string(), "{\"v\":3}".to_string()];
-        atomic_write_frames(&path, &new, Some(&harness)).unwrap();
+        atomic_write_frames(&path, encode_frames(0, &new), Some(&harness)).unwrap();
         assert!(harness.crashed());
         assert_eq!(std::fs::read(&path).unwrap(), old_bytes);
 
         // Fault-free rewrite replaces the content wholesale.
-        atomic_write_frames(&path, &new, None).unwrap();
+        atomic_write_frames(&path, encode_frames(0, &new), None).unwrap();
         let scan = scan_path(&path).unwrap().expect("file exists");
         assert!(scan.is_clean());
         assert_eq!(scan.bodies, new);

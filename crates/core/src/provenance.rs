@@ -29,7 +29,7 @@ use dydroid_avm::{DclEvent, DclKind, Event, EventLog, FileOp, FlowGraph, FlowNod
 use serde::{Deserialize, Serialize};
 
 use crate::durable::{
-    atomic_write_frames, encode_frames, load_records, FramedWriter, IoHarness, SinkOptions,
+    atomic_write_frames, encode_records, load_records, FramedWriter, IoHarness, SinkOptions,
     StreamKind,
 };
 use crate::pipeline::{verdict_label, AppRecord, MalwareHit};
@@ -786,9 +786,9 @@ impl ProvenanceLedger {
     ///
     /// # Errors
     ///
-    /// Returns serialization or write errors.
+    /// Returns write errors.
     pub fn rewrite(&self, records: &[AppProvenance]) -> io::Result<()> {
-        std::fs::write(&self.path, encode_frames(0, &ledger_bodies(records)?))
+        std::fs::write(&self.path, encode_records(records))
     }
 
     /// Opens the ledger for appending with stand-alone sink options,
@@ -847,24 +847,14 @@ impl ProvenanceLedger {
     ///
     /// # Errors
     ///
-    /// Returns serialization or write errors.
+    /// Returns write errors.
     pub fn finalize_with(
         &self,
         records: &[AppProvenance],
         harness: Option<&std::sync::Arc<IoHarness>>,
     ) -> io::Result<()> {
-        atomic_write_frames(&self.path, &ledger_bodies(records)?, harness)
+        atomic_write_frames(&self.path, encode_records(records), harness)
     }
-}
-
-fn ledger_bodies(records: &[AppProvenance]) -> io::Result<Vec<String>> {
-    records
-        .iter()
-        .map(|r| {
-            serde_json::to_string(r)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-        })
-        .collect()
 }
 
 /// An append handle to a [`ProvenanceLedger`]; one framed record per

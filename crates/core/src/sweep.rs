@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::durable::{
-    atomic_write_frames, encode_frames, load_records, Appended, FramedWriter, IoHarness,
+    atomic_write_frames, encode_records, load_records, Appended, FramedWriter, IoHarness,
     SinkOptions, StreamKind,
 };
 use crate::pipeline::AppRecord;
@@ -213,10 +213,9 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Returns serialization or write errors.
+    /// Returns write errors.
     pub fn rewrite(&self, records: &[AppRecord]) -> io::Result<()> {
-        let bodies = record_bodies(records)?;
-        std::fs::write(&self.path, encode_frames(0, &bodies))
+        std::fs::write(&self.path, encode_records(records))
     }
 
     /// Atomically replaces the journal with `records` in the given
@@ -227,14 +226,13 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Returns serialization or write errors.
+    /// Returns write errors.
     pub fn finalize_with(
         &self,
         records: &[AppRecord],
         harness: Option<&std::sync::Arc<IoHarness>>,
     ) -> io::Result<()> {
-        let bodies = record_bodies(records)?;
-        atomic_write_frames(&self.path, &bodies, harness)
+        atomic_write_frames(&self.path, encode_records(records), harness)
     }
 
     /// Opens the journal for appending with stand-alone sink options
@@ -276,7 +274,7 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Returns serialization or write errors.
+    /// Returns write errors.
     pub fn write_quarantine(&self, entries: &[QuarantineEntry]) -> io::Result<()> {
         let path = self.quarantine_path();
         if entries.is_empty() {
@@ -288,14 +286,7 @@ impl Journal {
         }
         let mut sorted: Vec<&QuarantineEntry> = entries.iter().collect();
         sorted.sort_by(|a, b| a.package.cmp(&b.package));
-        let bodies = sorted
-            .iter()
-            .map(|e| {
-                serde_json::to_string(e)
-                    .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))
-            })
-            .collect::<io::Result<Vec<String>>>()?;
-        std::fs::write(&path, encode_frames(0, &bodies))
+        std::fs::write(&path, encode_records(&sorted))
     }
 
     /// Deletes the journal file if present (start a sweep from scratch).
@@ -328,16 +319,6 @@ impl Journal {
             Err(e) => Err(e),
         }
     }
-}
-
-fn record_bodies(records: &[AppRecord]) -> io::Result<Vec<String>> {
-    records
-        .iter()
-        .map(|r| {
-            serde_json::to_string(r)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-        })
-        .collect()
 }
 
 /// One quarantine entry: an app observed in-flight at a crash, with how

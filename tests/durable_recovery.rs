@@ -3,9 +3,10 @@
 //! ever being mis-parsed — the scanner recovers exactly the intact prefix
 //! and detects (never silently accepts) the first damaged frame. The
 //! JSON those frames carry round-trips any string through the vendored
-//! `serde_json` shim.
+//! `serde_json` shim. The slicing-by-8 CRC32 the frames carry agrees
+//! with the plain bytewise table loop at every length and alignment.
 
-use dydroid::durable::{encode_frame, encode_frames, scan_stream};
+use dydroid::durable::{crc32, encode_frame, encode_frames, scan_stream};
 use proptest::prelude::*;
 use serde_json::Value;
 
@@ -28,8 +29,70 @@ fn frame_boundary(start_seq: u64, bodies: &[String], k: usize) -> usize {
         .sum()
 }
 
+/// Reference CRC32: the classic one-byte-per-step table loop.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        let mut c = i as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+        *slot = c;
+    }
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// `len + 8` pseudo-random bytes from `seed` (xorshift64).
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len + 8)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect()
+}
+
+#[test]
+fn crc32_matches_the_bytewise_loop_at_short_lengths_and_every_offset() {
+    let bytes = noise(0x5eed, 80);
+    for offset in 0..8 {
+        for len in 0..=72 {
+            let slice = &bytes[offset..offset + len];
+            assert_eq!(
+                crc32(slice),
+                crc32_bytewise(slice),
+                "len {len} at +{offset}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The slicing-by-8 CRC32 equals the bytewise reference for any
+    /// input of 0–4096 bytes starting at any alignment.
+    #[test]
+    fn crc32_matches_the_bytewise_loop(
+        seed in any::<u64>(),
+        len in 0usize..4097,
+        offset in 0usize..8,
+    ) {
+        let bytes = noise(seed, len);
+        let slice = &bytes[offset..offset + len];
+        prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+    }
 
     /// A freshly encoded stream round-trips losslessly and scans clean.
     /// (A whole valid stream always numbers its frames 0..n.)
