@@ -35,7 +35,7 @@ use crate::report::{MeasurementReport, SweepStats};
 use crate::scheduler::{idle_workers, virtual_makespan_us, Lane, Scheduler, WorkerStats};
 use crate::sweep::QuarantineEntry;
 use crate::telemetry::{
-    EventReadback, HistogramSummary, MetricsSnapshot, Progress, SpanRecord, Telemetry,
+    EventLine, EventReadback, HistogramSummary, MetricsSnapshot, Progress, SpanRecord, Telemetry,
 };
 use crate::training;
 
@@ -1277,14 +1277,14 @@ impl Pipeline {
                 let wanted: HashSet<u64> = entries.iter().map(|(_, id)| *id).collect();
                 let mut children: HashMap<u64, Vec<(String, u64)>> = HashMap::new();
                 if !wanted.is_empty() {
-                    for span in self.telemetry.spans() {
-                        if wanted.contains(&span.parent) {
+                    self.telemetry.with_spans(|spans| {
+                        for span in spans.iter().filter(|s| wanted.contains(&s.parent)) {
                             children
                                 .entry(span.parent)
                                 .or_default()
-                                .push((span.name, span.dur_us));
+                                .push((span.name.clone(), span.dur_us));
                         }
-                    }
+                    });
                 }
                 let entries: Vec<StragglerEntry> = entries
                     .into_iter()
@@ -1363,7 +1363,7 @@ impl Pipeline {
         // finalize, so this artifact is what `dcltrace profile` falls
         // back to once a run completes.
         if self.telemetry.is_enabled() && (self.config.profile_out.is_some() || journal.is_some()) {
-            let folded = SpanProfile::from_spans(&self.telemetry.spans()).folded();
+            let folded = self.telemetry.with_spans(SpanProfile::fold).folded();
             if let Some(path) = &self.config.profile_out {
                 if let Err(e) = std::fs::write(path, &folded) {
                     eprintln!("dydroid: failed to write span profile to {path}: {e}");
@@ -2431,11 +2431,9 @@ fn dropped_warning(stream: &str, path: &Path, recovered: usize, dropped: usize) 
 /// fact, free of span ids and timestamps so the finalized stream is
 /// byte-identical however the sweep interleaved.
 fn canonical_event(package: &str, kind: &str) -> String {
-    serde::Value::Object(vec![
-        ("type".to_string(), serde::Value::Str(kind.to_string())),
-        ("app".to_string(), serde::Value::Str(package.to_string())),
-    ])
-    .to_compact_string()
+    let mut line = EventLine::new(kind);
+    line.field("app", package);
+    line.finish()
 }
 
 /// Stable label for a [`DynamicStatus`], used as a span field value.

@@ -14,7 +14,7 @@
 //! this):
 //!
 //! - **live**, from the in-memory span store fed by `SpanGuard` drops
-//!   ([`SpanProfile::from_spans`] over `Telemetry::spans()`), and
+//!   ([`SpanProfile::fold`] under `Telemetry::with_spans`), and
 //! - **offline**, by replaying the durable (possibly sharded) event
 //!   streams of a journaled run ([`SpanProfile::replay_journal`]).
 //!
@@ -77,40 +77,93 @@ impl SpanProfile {
     /// phase span whose app span was lost to a crash) roots its path at
     /// the deepest ancestor present.
     pub fn from_spans(spans: &[SpanRecord]) -> SpanProfile {
+        SpanProfile::fold(&spans.iter().collect::<Vec<_>>())
+    }
+
+    /// [`SpanProfile::from_spans`] over borrowed spans, as
+    /// `Telemetry::with_spans` hands them out.
+    ///
+    /// Paths are interned as nodes of a name trie, and each span's node
+    /// is memoized, so a path is walked once per distinct span chain
+    /// rather than once per span; only the distinct paths are ever
+    /// built as strings.
+    pub fn fold(spans: &[&SpanRecord]) -> SpanProfile {
         let mut by_id: HashMap<u64, usize> = HashMap::with_capacity(spans.len());
         for (i, s) in spans.iter().enumerate() {
             by_id.insert(s.id, i);
         }
+        let parent_of = |i: usize| match spans[i].parent {
+            0 => None,
+            id => by_id.get(&id).copied(),
+        };
         let mut child_us: HashMap<u64, u64> = HashMap::new();
-        for s in spans {
-            if s.parent != 0 && by_id.contains_key(&s.parent) {
+        for (i, s) in spans.iter().enumerate() {
+            if parent_of(i).is_some() {
                 *child_us.entry(s.parent).or_insert(0) += s.dur_us;
             }
         }
-        let mut nodes: BTreeMap<Vec<String>, ProfileEntry> = BTreeMap::new();
-        for s in spans {
-            let mut path = vec![s.name.clone()];
-            let mut cursor = s.parent;
-            for _ in 0..MAX_PROFILE_DEPTH {
-                if cursor == 0 {
+        let mut trie = PathTrie::default();
+        // Each span's trie node, once its whole ancestor chain is known
+        // to fit within the depth cut.
+        let mut memo: Vec<Option<usize>> = vec![None; spans.len()];
+        let mut entries: Vec<ProfileEntry> = Vec::new();
+        let mut chain: Vec<usize> = Vec::new();
+        for (i, s) in spans.iter().enumerate() {
+            // Walk up to the nearest memoized ancestor (or the root),
+            // giving up once the chain is longer than the cut allows.
+            chain.clear();
+            let mut cursor = Some(i);
+            let mut base = PathTrie::ROOT;
+            while let Some(j) = cursor {
+                if let Some(node) = memo[j] {
+                    base = node;
                     break;
                 }
-                match by_id.get(&cursor) {
-                    Some(&i) => {
-                        path.push(spans[i].name.clone());
-                        cursor = spans[i].parent;
-                    }
-                    None => break,
+                chain.push(j);
+                if chain.len() > MAX_PROFILE_DEPTH + 1 {
+                    break;
                 }
+                cursor = parent_of(j);
             }
-            path.reverse();
-            let entry = nodes.entry(path).or_default();
+            let node = if chain.len() + trie.depth(base) <= MAX_PROFILE_DEPTH + 1 {
+                let mut node = base;
+                for &j in chain.iter().rev() {
+                    node = trie.child(node, &spans[j].name);
+                    memo[j] = Some(node);
+                }
+                node
+            } else {
+                // Deeper than the cut (only a corrupt stream's cycle
+                // gets here): the path is the span and its nearest
+                // `MAX_PROFILE_DEPTH` ancestors.
+                let mut names = vec![s.name.as_str()];
+                let mut cursor = parent_of(i);
+                for _ in 0..MAX_PROFILE_DEPTH {
+                    let Some(j) = cursor else { break };
+                    names.push(&spans[j].name);
+                    cursor = parent_of(j);
+                }
+                names
+                    .iter()
+                    .rev()
+                    .fold(PathTrie::ROOT, |node, name| trie.child(node, name))
+            };
+            if entries.len() <= node {
+                entries.resize(node + 1, ProfileEntry::default());
+            }
+            let entry = &mut entries[node];
             entry.count += 1;
             entry.total_us += s.dur_us;
             entry.self_us += s
                 .dur_us
                 .saturating_sub(child_us.get(&s.id).copied().unwrap_or(0));
         }
+        let nodes = entries
+            .into_iter()
+            .enumerate()
+            .filter(|(_, entry)| entry.count > 0)
+            .map(|(node, entry)| (trie.path(node), entry))
+            .collect();
         SpanProfile { nodes }
     }
 
@@ -201,6 +254,55 @@ impl SpanProfile {
             );
         }
         out
+    }
+}
+
+/// Span name paths interned as a trie: node 0 is the empty root path,
+/// and every other node extends its parent's path by one name.
+struct PathTrie<'a> {
+    /// `(parent node, name, path length)` per node.
+    nodes: Vec<(usize, &'a str, usize)>,
+    children: HashMap<(usize, &'a str), usize>,
+}
+
+impl Default for PathTrie<'_> {
+    fn default() -> Self {
+        PathTrie {
+            nodes: vec![(0, "", 0)],
+            children: HashMap::new(),
+        }
+    }
+}
+
+impl<'a> PathTrie<'a> {
+    const ROOT: usize = 0;
+
+    /// Number of names on `node`'s path.
+    fn depth(&self, node: usize) -> usize {
+        self.nodes[node].2
+    }
+
+    /// The node for `node`'s path extended by `name`.
+    fn child(&mut self, node: usize, name: &'a str) -> usize {
+        if let Some(&child) = self.children.get(&(node, name)) {
+            return child;
+        }
+        let child = self.nodes.len();
+        self.nodes.push((node, name, self.depth(node) + 1));
+        self.children.insert((node, name), child);
+        child
+    }
+
+    /// `node`'s path, root first.
+    fn path(&self, mut node: usize) -> Vec<String> {
+        let mut path = Vec::with_capacity(self.depth(node));
+        while node != Self::ROOT {
+            let (parent, name, _) = self.nodes[node];
+            path.push(name.to_string());
+            node = parent;
+        }
+        path.reverse();
+        path
     }
 }
 
@@ -372,6 +474,80 @@ mod tests {
         let spans = vec![span(1, 2, "a", 0, 10), span(2, 1, "b", 0, 10)];
         let profile = SpanProfile::from_spans(&spans);
         assert_eq!(profile.len(), 2);
+    }
+
+    /// Reference fold: walks every span's parent chain afresh, cut at
+    /// `MAX_PROFILE_DEPTH` ancestors.
+    fn walked_profile(spans: &[SpanRecord]) -> SpanProfile {
+        let by_id: HashMap<u64, usize> = spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
+        let mut child_us: HashMap<u64, u64> = HashMap::new();
+        for s in spans {
+            if s.parent != 0 && by_id.contains_key(&s.parent) {
+                *child_us.entry(s.parent).or_insert(0) += s.dur_us;
+            }
+        }
+        let mut nodes: BTreeMap<Vec<String>, ProfileEntry> = BTreeMap::new();
+        for s in spans {
+            let mut path = vec![s.name.clone()];
+            let mut cursor = s.parent;
+            for _ in 0..MAX_PROFILE_DEPTH {
+                match by_id.get(&cursor) {
+                    Some(&i) if cursor != 0 => {
+                        path.push(spans[i].name.clone());
+                        cursor = spans[i].parent;
+                    }
+                    _ => break,
+                }
+            }
+            path.reverse();
+            let entry = nodes.entry(path).or_default();
+            entry.count += 1;
+            entry.total_us += s.dur_us;
+            entry.self_us += s
+                .dur_us
+                .saturating_sub(child_us.get(&s.id).copied().unwrap_or(0));
+        }
+        SpanProfile { nodes }
+    }
+
+    #[test]
+    fn memoized_fold_matches_the_per_span_walk() {
+        let mut spans = Vec::new();
+        // Chains right at, one past and well past the depth cut, each
+        // with a side leaf at every level.
+        let mut next = 1u64;
+        let cut = MAX_PROFILE_DEPTH;
+        for depth in [cut, cut + 1, cut + 2, 150] {
+            let mut parent = 0;
+            for level in 0..depth as u64 {
+                let id = next;
+                let name = format!("l{}", level % 5);
+                spans.push(span(id, parent, &name, level, 1000 - level));
+                spans.push(span(id + 1, id, "leaf", level, 3));
+                parent = id;
+                next += 2;
+            }
+        }
+        // A three-span cycle with a child, and orphans.
+        spans.push(span(9001, 9003, "a", 0, 10));
+        spans.push(span(9002, 9001, "b", 0, 10));
+        spans.push(span(9003, 9002, "c", 0, 10));
+        spans.push(span(9004, 9002, "d", 0, 4));
+        spans.push(span(9005, 424242, "orphan", 0, 7));
+        // A shallow forest with shared names.
+        for app in 0..20u64 {
+            let root = 10_000 + app * 10;
+            spans.push(span(root, 0, "app", app, 100));
+            for (k, name) in ["static", "monkey", "monkey"].iter().enumerate() {
+                spans.push(span(root + 1 + k as u64, root, name, app, 20 + k as u64));
+            }
+        }
+        let expected = walked_profile(&spans);
+        assert_eq!(SpanProfile::from_spans(&spans), expected);
+        spans.reverse();
+        assert_eq!(SpanProfile::from_spans(&spans), expected);
+        spans.sort_by_key(|s| (s.name.clone(), s.id));
+        assert_eq!(SpanProfile::from_spans(&spans), expected);
     }
 
     #[test]

@@ -25,16 +25,17 @@
 //! [`Telemetry`] is a single `Option` check per call site — no
 //! allocation, no clock read, no atomics.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use crate::durable::{
-    atomic_write_frames, visit_path, FramedWriter, IoHarness, SinkOptions, StreamKind,
+    atomic_write_frames, encode_frames, visit_path, FramedWriter, IoHarness, SinkOptions,
+    StreamKind,
 };
 
 use serde::{Deserialize, Serialize};
@@ -263,6 +264,9 @@ impl MetricsRegistry {
 
     fn metric(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
         let mut shard = self.shard(name).lock().expect("metrics shard poisoned");
+        if let Some(metric) = shard.get(name) {
+            return metric.clone();
+        }
         shard.entry(name.to_string()).or_insert_with(make).clone()
     }
 
@@ -466,6 +470,9 @@ struct Inner {
     /// its events (via the thread-local shard scope) to its app's shard
     /// file, so concurrent appends never contend on one sink mutex.
     shard_sinks: RwLock<Vec<Arc<Mutex<FramedWriter>>>>,
+    /// Whether the base sink or any shard sink is attached, so a run
+    /// without an event stream never renders the lines it would drop.
+    sink_attached: AtomicBool,
 }
 
 thread_local! {
@@ -516,7 +523,30 @@ impl Inner {
             span_count: AtomicUsize::new(0),
             sink: Mutex::new(None),
             shard_sinks: RwLock::new(Vec::new()),
+            sink_attached: AtomicBool::new(false),
         }
+    }
+
+    /// Recomputes [`Inner::sink_attached`] after a sink change.
+    fn refresh_sink_attached(&self) {
+        let attached = self.sink.lock().expect("event sink poisoned").is_some()
+            || !self
+                .shard_sinks
+                .read()
+                .expect("shard sinks poisoned")
+                .is_empty();
+        self.sink_attached.store(attached, Ordering::SeqCst);
+    }
+
+    /// Writes an event line of type `kind` with the members `fields`
+    /// appends, or renders nothing when no sink is attached.
+    fn emit(&self, kind: &str, fields: impl FnOnce(&mut EventLine)) {
+        if !self.sink_attached.load(Ordering::SeqCst) {
+            return;
+        }
+        let mut line = EventLine::new(kind);
+        fields(&mut line);
+        self.write_event(&line.finish());
     }
 
     fn now_us(&self) -> u64 {
@@ -576,16 +606,67 @@ impl Inner {
     }
 
     fn finish_span(&self, mut record: SpanRecord) {
-        record.dur_us = self.now_us().saturating_sub(record.start_us);
-        self.registry
-            .record(&format!("span.{}.us", record.name), record.dur_us);
-        let mut pairs = vec![("type".to_string(), serde::Value::Str("span".to_string()))];
-        if let serde::Value::Object(rest) = record.to_json() {
-            pairs.extend(rest);
+        thread_local! {
+            /// Reused `span.<name>.us` histogram key.
+            static KEY: RefCell<String> = const { RefCell::new(String::new()) };
         }
-        self.write_event(&serde::Value::Object(pairs).to_compact_string());
+        record.dur_us = self.now_us().saturating_sub(record.start_us);
+        KEY.with(|key| {
+            let mut key = key.borrow_mut();
+            key.clear();
+            key.push_str("span.");
+            key.push_str(&record.name);
+            key.push_str(".us");
+            self.registry.record(&key, record.dur_us);
+        });
+        self.emit("span", |line| span_fields(line, &record));
         self.store_span(record);
     }
+}
+
+/// One event-stream line, `{"type":<kind>,"key":value,...}`, written
+/// member by member straight into its text.
+#[derive(Debug)]
+pub(crate) struct EventLine {
+    text: String,
+}
+
+impl EventLine {
+    /// A line of the given `type`.
+    pub(crate) fn new(kind: &str) -> Self {
+        let mut text = String::with_capacity(128);
+        text.push_str("{\"type\":");
+        kind.write_json(&mut text);
+        EventLine { text }
+    }
+
+    /// Appends one `"key":value` member.
+    pub(crate) fn field(&mut self, key: &str, value: &(impl Serialize + ?Sized)) -> &mut Self {
+        self.text.push(',');
+        key.write_json(&mut self.text);
+        self.text.push(':');
+        value.write_json(&mut self.text);
+        self
+    }
+
+    /// The finished single-line JSON object.
+    pub(crate) fn finish(mut self) -> String {
+        self.text.push('}');
+        self.text
+    }
+}
+
+/// A span line's members after its `type`: the [`SpanRecord`] fields in
+/// declaration order, as its derived `Serialize` writes them and
+/// [`EventReadback`] parses them back.
+fn span_fields(line: &mut EventLine, record: &SpanRecord) {
+    line.field("id", &record.id)
+        .field("parent", &record.parent)
+        .field("name", &record.name)
+        .field("tid", &record.tid)
+        .field("start_us", &record.start_us)
+        .field("dur_us", &record.dur_us)
+        .field("fields", &record.fields);
 }
 
 /// Handle to the telemetry subsystem. Cloning is cheap (an `Arc`); a
@@ -700,6 +781,21 @@ impl Telemetry {
         all
     }
 
+    /// Calls `f` on every retained span, in no particular order, with
+    /// the span store locked: a pass over the spans without cloning them.
+    pub fn with_spans<R>(&self, f: impl FnOnce(&[&SpanRecord]) -> R) -> R {
+        let Some(inner) = &self.inner else {
+            return f(&[]);
+        };
+        let stripes: Vec<_> = inner
+            .spans
+            .iter()
+            .map(|stripe| stripe.lock().expect("span stripe poisoned"))
+            .collect();
+        let all: Vec<&SpanRecord> = stripes.iter().flat_map(|stripe| stripe.iter()).collect();
+        f(&all)
+    }
+
     /// Directs the framed JSONL event stream (span, checkpoint and
     /// provenance-link lines) to `path`, appending so resumed sweeps
     /// extend the same stream; a torn or corrupt tail is truncated and
@@ -717,6 +813,7 @@ impl Telemetry {
         };
         let writer = FramedWriter::open(path, opts)?;
         *inner.sink.lock().expect("event sink poisoned") = Some(writer);
+        inner.refresh_sink_attached();
         Ok(())
     }
 
@@ -739,6 +836,7 @@ impl Telemetry {
             sinks.push(Arc::new(Mutex::new(writer)));
         }
         *inner.shard_sinks.write().expect("shard sinks poisoned") = sinks;
+        inner.refresh_sink_attached();
         Ok(())
     }
 
@@ -751,6 +849,7 @@ impl Telemetry {
                 .write()
                 .expect("shard sinks poisoned")
                 .clear();
+            inner.refresh_sink_attached();
         }
     }
 
@@ -788,24 +887,14 @@ impl Telemetry {
             .write()
             .expect("shard sinks poisoned")
             .clear();
-        atomic_write_frames(path, bodies, harness)
+        inner.refresh_sink_attached();
+        atomic_write_frames(path, encode_frames(0, bodies), harness)
     }
 
     /// Emits a checkpoint event tying a journaled app record to the span
     /// that produced it, so a resumed run can stitch the timeline.
     pub fn emit_checkpoint(&self, app: &str, span: u64) {
-        let Some(inner) = &self.inner else { return };
-        let line = serde::Value::Object(vec![
-            (
-                "type".to_string(),
-                serde::Value::Str("checkpoint".to_string()),
-            ),
-            ("app".to_string(), serde::Value::Str(app.to_string())),
-            ("span".to_string(), span.to_json()),
-            ("t_us".to_string(), inner.now_us().to_json()),
-        ])
-        .to_compact_string();
-        inner.write_event(&line);
+        self.emit_app_link("checkpoint", app, span);
     }
 
     /// Emits a provenance-link event tying an app's ledger record to the
@@ -813,18 +902,18 @@ impl Telemetry {
     /// depend on worker interleave and would break its byte-determinism),
     /// so this event-stream line is the durable cross-reference.
     pub fn emit_provenance_link(&self, app: &str, span: u64) {
+        self.emit_app_link("provenance", app, span);
+    }
+
+    /// `{"type":<kind>,"app":..,"span":..,"t_us":..}`: the checkpoint
+    /// and provenance-link line shape.
+    fn emit_app_link(&self, kind: &str, app: &str, span: u64) {
         let Some(inner) = &self.inner else { return };
-        let line = serde::Value::Object(vec![
-            (
-                "type".to_string(),
-                serde::Value::Str("provenance".to_string()),
-            ),
-            ("app".to_string(), serde::Value::Str(app.to_string())),
-            ("span".to_string(), span.to_json()),
-            ("t_us".to_string(), inner.now_us().to_json()),
-        ])
-        .to_compact_string();
-        inner.write_event(&line);
+        inner.emit(kind, |line| {
+            line.field("app", app)
+                .field("span", &span)
+                .field("t_us", &inner.now_us());
+        });
     }
 
     /// Emits a structured warning event (`{"type":"warn","kind":...}`)
@@ -834,16 +923,13 @@ impl Telemetry {
     /// the finalized canonical stream drops them.
     pub fn emit_warning(&self, kind: &str, app: &str, detail: &[(&str, u64)]) {
         let Some(inner) = &self.inner else { return };
-        let mut pairs = vec![
-            ("type".to_string(), serde::Value::Str("warn".to_string())),
-            ("kind".to_string(), serde::Value::Str(kind.to_string())),
-            ("app".to_string(), serde::Value::Str(app.to_string())),
-        ];
-        for (name, value) in detail {
-            pairs.push(((*name).to_string(), value.to_json()));
-        }
-        pairs.push(("t_us".to_string(), inner.now_us().to_json()));
-        inner.write_event(&serde::Value::Object(pairs).to_compact_string());
+        inner.emit("warn", |line| {
+            line.field("kind", kind).field("app", app);
+            for (name, value) in detail {
+                line.field(name, value);
+            }
+            line.field("t_us", &inner.now_us());
+        });
     }
 
     /// Loads span events from a previous session's JSONL stream so a
@@ -1300,6 +1386,80 @@ mod tests {
             assert!(ev.get("name").and_then(|n| n.as_str()).is_some());
             assert!(ev.get("args").and_then(|a| a.get("id")).is_some());
         }
+    }
+
+    #[test]
+    fn event_lines_match_the_tree_form() {
+        let record = SpanRecord {
+            id: 12,
+            parent: 3,
+            name: "binary_analysis".to_string(),
+            tid: 2,
+            start_us: 1_000_000,
+            dur_us: u64::MAX,
+            fields: vec![
+                ("app".to_string(), "com.\"q\"\\é".to_string()),
+                ("note".to_string(), "line\nbreak\u{1}".to_string()),
+            ],
+        };
+        let mut tree = vec![("type".to_string(), serde::Value::Str("span".to_string()))];
+        if let serde::Value::Object(rest) = record.to_json() {
+            tree.extend(rest);
+        }
+        let mut line = EventLine::new("span");
+        span_fields(&mut line, &record);
+        assert_eq!(
+            line.finish(),
+            serde::Value::Object(tree).to_compact_string()
+        );
+
+        let mut line = EventLine::new("warn");
+        line.field("app", "com.a").field("ms", &7u64);
+        assert_eq!(
+            line.finish(),
+            serde_json::json!({ "type": "warn", "app": "com.a", "ms": 7u64 }).to_compact_string()
+        );
+    }
+
+    #[test]
+    fn event_lines_render_only_with_a_sink_attached() {
+        let dir = std::env::temp_dir().join(format!(
+            "dydroid-sink-flag-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let t = Telemetry::new(true);
+        let attached = || {
+            t.inner
+                .as_ref()
+                .expect("enabled")
+                .sink_attached
+                .load(Ordering::SeqCst)
+        };
+        assert!(!attached());
+        t.set_sharded_event_sinks(
+            &[dir.join("shard0.jsonl")],
+            &SinkOptions::direct(StreamKind::Events),
+        )
+        .expect("shard sinks");
+        assert!(attached());
+        t.clear_sharded_event_sinks();
+        assert!(!attached());
+        let path = dir.join("events.jsonl");
+        t.set_event_sink(&path).expect("sink");
+        assert!(attached());
+        drop(t.span("app"));
+        t.finalize_event_sink(&path, &[], None).expect("finalize");
+        assert!(!attached());
+        // Spans still reach the store and the histograms without a sink.
+        drop(t.span("app"));
+        assert_eq!(t.spans().len(), 2);
+        assert_eq!(
+            t.snapshot().histogram("span.app.us").map(|h| h.count),
+            Some(2)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
