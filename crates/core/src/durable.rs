@@ -1051,12 +1051,13 @@ mod tests {
 
     #[test]
     fn encode_records_frames_each_serialized_record() {
+        use crate::sweep::QuarantineEntry;
         let records = vec![
-            QuarantineLike {
+            QuarantineEntry {
                 package: "com.a".to_string(),
                 attempts: 1,
             },
-            QuarantineLike {
+            QuarantineEntry {
                 package: "com.\"b\"".to_string(),
                 attempts: 2,
             },
@@ -1066,13 +1067,7 @@ mod tests {
             .map(|r| serde_json::to_string(r).unwrap())
             .collect();
         assert_eq!(encode_records(&records), encode_frames(0, &bodies));
-        assert_eq!(encode_records::<QuarantineLike>(&[]), "");
-    }
-
-    #[derive(Serialize)]
-    struct QuarantineLike {
-        package: String,
-        attempts: u32,
+        assert_eq!(encode_records::<QuarantineEntry>(&[]), "");
     }
 
     #[test]

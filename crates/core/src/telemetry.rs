@@ -626,7 +626,6 @@ impl Inner {
 
 /// One event-stream line, `{"type":<kind>,"key":value,...}`, written
 /// member by member straight into its text.
-#[derive(Debug)]
 pub(crate) struct EventLine {
     text: String,
 }
