@@ -26,7 +26,7 @@
 //! pressure — metrics snapshots shed first, telemetry events second,
 //! provenance detail third, the journal never (see [`IoState`]).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
@@ -149,13 +149,12 @@ const FRAME_OVERHEAD: usize = 81;
 /// Appends one framed record line (with trailing `\n`) to `out`.
 fn push_frame(out: &mut String, seq: u64, body: &str) {
     debug_assert!(!body.contains('\n'), "frame bodies must be single-line");
-    out.push_str("{\"seq\":");
-    seq.write_json(out);
-    out.push_str(",\"len\":");
-    body.len().write_json(out);
-    out.push_str(",\"crc\":");
-    crc32(body.as_bytes()).write_json(out);
-    out.push_str(",\"body\":");
+    let _ = write!(
+        out,
+        "{{\"seq\":{seq},\"len\":{},\"crc\":{},\"body\":",
+        body.len(),
+        crc32(body.as_bytes())
+    );
     out.push_str(body);
     out.push_str("}\n");
 }
